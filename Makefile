@@ -6,9 +6,9 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: verify fmt-check build vet lint lint-ci test race fuzz bench bench-baseline benchdiff profile trace trace-report scenarios scenarios-smoke autoplan
+.PHONY: verify fmt-check build vet lint lint-ci perfbench-check test race fuzz bench bench-baseline benchdiff profile trace trace-report scenarios scenarios-smoke autoplan
 
-verify: fmt-check build vet lint scenarios-smoke test race
+verify: fmt-check build vet lint perfbench-check scenarios-smoke test race
 
 # gofmt gate: fails listing the offending files (gofmt -l prints paths and
 # exits 0, so the emptiness of its output is the check).
@@ -42,6 +42,14 @@ fuzz:
 # hashes and the build cache, so it is always safe to keep).
 lint:
 	$(GO) run ./cmd/mptlint -cache .mptlintcache/golist.json ./...
+
+# The benchmark harness is its own module (perfbench/go.mod replaces
+# mptwino with the parent directory), so the root ./... patterns above never
+# reach it: vet, build and lint it here, so that a rename under internal/
+# cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null . && \
+		$(GO) run mptwino/cmd/mptlint -baseline "" ./...
 
 # Pinned staticcheck, fetched on demand (requires network, so it is a
 # separate CI-only target: `make lint`/`make verify` must stay offline).

@@ -23,9 +23,10 @@ type Strategy struct {
 	// (Jia et al., "Exploring Hidden Dimensions in Parallelizing CNNs"):
 	// Nf shards the filter (output-channel) dimension and Ni the input-
 	// channel dimension inside each (group, cluster) cell, so the total
-	// worker count is Ng·Nc·Nf·Ni. Zero means 1 (axis unused); the paper's
-	// fixed menu always runs with both at 1, and every formula degenerates
-	// bit-exactly to the two-axis model in that case.
+	// worker count is Ng·Nc·Nf·Ni. Zero means 1 (axis unused). The paper's
+	// fixed menu is the Nf = Ni = 1 slice of the same one model; its
+	// integer floor order is what keeps that slice equal to the Section
+	// III-C formulas, survivor grids included.
 	Nf int // filter (output-channel) shards per cell
 	Ni int // input-channel shards per cell
 
@@ -129,7 +130,7 @@ type Volumes struct {
 	// PartialSum is the intra-cell partial-sum reduction traffic the
 	// channel/filter axes add: fprop output tiles reduced across the Ni
 	// input-channel shards and bprop dX tiles reduced across the Nf filter
-	// shards. Always 0 for the fixed two-axis menu.
+	// shards. Always 0 on the fixed menu (Nf = Ni = 1).
 	PartialSum int64
 }
 
@@ -198,48 +199,31 @@ func TileTransferPerWorker(tiles int64, ng, nc int) int64 {
 // LayerVolumes computes the per-worker, per-iteration communication of one
 // layer under the strategy, covering all three phases:
 //
-//   - fprop:  scatter input tiles X, gather output tiles Y
-//   - bprop:  scatter output-gradient tiles dY, gather input-gradient dX
-//   - updateGrad: ring collective of the group's weight-gradient shard
+//   - fprop:  scatter input tiles X, reduce and gather output tiles Y
+//   - bprop:  scatter output-gradient tiles dY, reduce and gather dX
+//   - updateGrad: ring collective of the weight gradient (WeightCollective)
 //
-// Direct-convolution and single-group Winograd strategies have no tile
-// transfer; single-cluster strategies (Nc=1) have no weight collective.
-// When the group count lets each worker hold whole tile lines, the 1-D
-// transform optimization shrinks gathered tiles by m/T (Section IV).
+// Direct convolution and one-worker Winograd cells (d_dp, w_dp) move no
+// tiles; single-cluster strategies (Nc=1) have no weight collective. The
+// tile phases are ExtPhaseVolumes. When the group count lets each worker
+// hold whole tile lines, the 1-D transform optimization shrinks gathered
+// tiles by m/T (Section IV); the shrink floors on the int64 sum before the
+// Section V reductions scale it.
 func LayerVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	if s.Extended() {
-		// Channel/filter axes in play: the four-axis model (multiaxis.go).
-		return layerVolumesExt(tr, p, batch, s)
-	}
-	var v Volumes
-	if !s.Winograd {
-		// d_dp: spatial weights reduced across all p workers.
-		v.Weight = RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())
-		return v
-	}
-	if s.Ng == 1 {
-		// w_dp: Winograd compute but data-parallel weights; Table IV keeps
-		// spatial weights ("update w") so the collective moves |w|.
-		v.Weight = RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())
+	msg, ring, spatial := WeightCollective(tr, p, s)
+	v := Volumes{Weight: RingCollectivePerWorker(msg, ring)}
+	if spatial {
 		return v
 	}
 
-	// MPT: Winograd-domain weights, partitioned across groups.
-	wBytes := WinogradWeightBytes(tr, p) / int64(s.Ng)
-	v.Weight = RingCollectivePerWorker(wBytes, s.Nc)
-
-	inTiles := TileBytes(tr, p, batch, p.In)
-	outTiles := TileBytes(tr, p, batch, p.Out)
-
-	gather := TileTransferPerWorker(outTiles, s.Ng, s.Nc) + // fprop: Y
-		TileTransferPerWorker(inTiles, s.Ng, s.Nc) // bprop: dX
-	scatter := TileTransferPerWorker(inTiles, s.Ng, s.Nc) + // fprop: X
-		TileTransferPerWorker(outTiles, s.Ng, s.Nc) // bprop: dY
-
-	if winograd.HoldsWholeLines(tr.T, s.Ng) && s.Ng > 1 {
+	sF, gF, pF := ExtPhaseVolumes(tr, p, batch, s, false)
+	sB, gB, pB := ExtPhaseVolumes(tr, p, batch, s, true)
+	gather := gF + gB
+	scatter := sF + sB
+	if s.Ng > 1 && winograd.HoldsWholeLines(tr.T, s.Ng) {
 		// Whole-line ownership enables the 1-D inverse transform at the
 		// source: gathered data shrinks from T to m values per line.
 		gather = gather * int64(tr.M) / int64(tr.T)
@@ -247,7 +231,22 @@ func LayerVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) 
 
 	v.TileGather = int64(float64(gather) * (1 - s.GatherReduction))
 	v.TileScatter = int64(float64(scatter) * (1 - s.ScatterReduction))
+	v.PartialSum = pF + pB
 	return v
+}
+
+// WeightCollective returns the payload and the ring of one layer's
+// weight-gradient collective under s — the one place that decides which
+// weights move. Direct convolution (d_dp) and one-worker Winograd cells
+// (w_dp, Table IV "update w") keep spatial weights: the whole |w| is rung
+// across all s.Workers() workers, and spatial reports true. Otherwise each
+// worker of a D = Ng·Nf·Ni cell owns a |W|/D Winograd-domain shard, rung
+// across the Nc clusters. tr is only read in the Winograd-domain case.
+func WeightCollective(tr *winograd.Transform, p conv.Params, s Strategy) (msg int64, ring int, spatial bool) {
+	if !s.Winograd || s.Cell() == 1 {
+		return SpatialWeightBytes(p), s.Workers(), true
+	}
+	return WinogradWeightBytes(tr, p) / int64(s.Cell()), s.Nc, false
 }
 
 // NetworkVolumes sums per-worker volumes over a network's layers for a

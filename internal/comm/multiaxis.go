@@ -5,14 +5,14 @@ import (
 	"mptwino/internal/winograd"
 )
 
-// This file extends the paper's two-axis (Ng, Nc) communication model to
-// the four-axis strategy space the per-layer auto-search planner explores
-// (internal/planner): Ng Winograd-element groups × Nc batch clusters ×
-// Nf filter (output-channel) shards × Ni input-channel shards, with
+// This file holds the tile phases of the one Winograd traffic model: the
+// four-axis strategy space Ng Winograd-element groups × Nc batch clusters
+// × Nf filter (output-channel) shards × Ni input-channel shards, with
 // Ng·Nc·Nf·Ni = p. The extra axes follow Jia et al. ("Exploring Hidden
 // Dimensions in Parallelizing CNNs"): sharding filters replicates input
-// tiles, sharding input channels leaves partial output sums that a new
-// intra-cell reduction collective must combine.
+// tiles, sharding input channels leaves partial output sums that an
+// intra-cell reduction collective must combine. The paper's MPT and w_dp
+// wirings are the Nf = Ni = 1 slice of this space.
 //
 // Traffic accounting (per worker, per iteration, bytes). One cluster owns
 // the batch shard B/Nc; its cell of D = Ng·Nf·Ni workers initially holds
@@ -20,88 +20,51 @@ import (
 // (g, f, i) of the cell computes, for group g's T²/Ng elements, the
 // partial GEMM X[rows, In/Ni]·W[In/Ni, Out/Nf]:
 //
-//   - scatter (fprop X):   need = inT/(Nc·Ng·Ni); the resident fraction of
-//     the need is 1/D, so (D−1)/D of it crosses the cell fabric. The
-//     legacy two-axis formula is the D = Ng special case.
+//   - scatter (fprop X):   need = inT/Nc/(Ng·Ni); the resident fraction of
+//     the need is 1/D, so (D−1)/D of it crosses the cell fabric.
 //   - partial-sum reduce (fprop Y): the Ni channel shards hold partial
-//     sums of the same outT/(Nc·Ng·Nf) values; a ring reduce moves
+//     sums of the same outT/Nc/(Ng·Nf) values; a ring reduce moves
 //     (Ni−1)/Ni of that payload per worker.
 //   - gather (fprop Y): the reduced output tiles return to position-major
-//     layout, (D−1)/D of the outT/(Nc·Ng·Nf) payload crossing.
+//     layout, (D−1)/D of the outT/Nc/(Ng·Nf) payload crossing.
 //   - bprop mirrors with X and Y swapped: dY scattered over (g, f), dX
 //     gathered over (g, i), dX partial sums reduced across Nf.
-//   - updateGrad: each worker's dW shard shrinks to |W|/(Ng·Nf·Ni) and
-//     ring-reduces across the Nc clusters; X and dY shards are already
+//   - updateGrad: WeightCollective; X and dY shards are already
 //     co-located from the forward/backward scatters, so no extra traffic.
 //
-// Every formula degenerates to the legacy model at Nf = Ni = 1 (checked
-// bit-exactly by TestExtendedVolumesDegenerate).
-
-// layerVolumesExt computes per-worker volumes for an extended strategy.
-func layerVolumesExt(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
-	ng, nc := s.Ng, s.Nc
-	d := s.Cell()
-
-	var v Volumes
-
-	// Weight collective: the Winograd-domain shard is split across the
-	// whole cell, rung across clusters.
-	wBytes := WinogradWeightBytes(tr, p) / int64(d)
-	v.Weight = RingCollectivePerWorker(wBytes, nc)
-	if d == 1 {
-		// Degenerate single-worker cell: pure data parallelism in the
-		// Winograd domain keeps spatial weights (Table IV "update w").
-		v.Weight = RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())
-		return v
-	}
-
-	sF, gF, pF := ExtPhaseVolumes(tr, p, batch, s, false)
-	sB, gB, pB := ExtPhaseVolumes(tr, p, batch, s, true)
-	gather := gF + gB
-	scatter := sF + sB
-
-	if winograd.HoldsWholeLines(tr.T, ng) && ng > 1 {
-		// Whole-line ownership enables the 1-D inverse transform at the
-		// source, shrinking gathered data from T to M values per line.
-		gather = gather * float64(tr.M) / float64(tr.T)
-	}
-
-	v.TileGather = int64(gather * (1 - s.GatherReduction))
-	v.TileScatter = int64(scatter * (1 - s.ScatterReduction))
-	v.PartialSum = int64(pF + pB)
-	return v
-}
+// Every division floors in int64, in that order. At Nf = Ni = 1 each need
+// is literally TileTransferPerWorker, which keeps the survivor grids
+// ((16,15), (4,63)) on the Section III-C byte counts; a float formula
+// drifts from them by tens of bytes.
 
 // ExtPhaseVolumes returns the raw (dense, un-reduced) per-worker traffic
-// of one training phase under an extended strategy, in bytes: the tile
-// scatter, the tile gather, and the intra-cell partial-sum reduction.
-// backward=false is fprop (scatter X, reduce+gather Y); backward=true is
-// bprop (scatter dY, reduce+gather dX). Callers apply the Section V
-// reductions, the 1-D gather shrink, and gather scaling themselves —
-// partial sums take none of them (they move not-yet-final sums).
-func ExtPhaseVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy, backward bool) (scatter, gather, partial float64) {
-	ng, nc := s.Ng, s.Nc
-	nf, ni := s.FilterShards(), s.ChannelShards()
-	d := s.Cell()
+// of one training phase, in bytes: the tile scatter, the tile gather, and
+// the intra-cell partial-sum reduction. backward=false is fprop (scatter
+// X, reduce+gather Y); backward=true is bprop (scatter dY, reduce+gather
+// dX). Callers apply the Section V reductions, the 1-D gather shrink, and
+// gather scaling themselves — partial sums take none of them (they move
+// not-yet-final sums).
+func ExtPhaseVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy, backward bool) (scatter, gather, partial int64) {
+	d := int64(s.Cell())
 	if d <= 1 {
 		return 0, 0, 0
 	}
-	inT := float64(TileBytes(tr, p, batch, p.In))
-	outT := float64(TileBytes(tr, p, batch, p.Out))
+	ng, nc := int64(s.Ng), int64(s.Nc)
+	nf, ni := int64(s.FilterShards()), int64(s.ChannelShards())
 
 	// Per-worker payloads of the two tile roles inside one cluster.
-	inNeed := inT / float64(nc*ng*ni)   // X / dX payload per worker
-	outNeed := outT / float64(nc*ng*nf) // Y / dY payload per worker
-	crossing := float64(d-1) / float64(d)
+	inNeed := TileBytes(tr, p, batch, p.In) / nc / (ng * ni)   // X / dX
+	outNeed := TileBytes(tr, p, batch, p.Out) / nc / (ng * nf) // Y / dY
+	crossing := func(need int64) int64 { return need * (d - 1) / d }
 
 	if backward {
 		// bprop: scatter dY over (g, f), gather dX over (g, i), reduce
 		// the dX partial sums across the Nf filter shards.
-		return outNeed * crossing, inNeed * crossing, inNeed * float64(nf-1) / float64(nf)
+		return crossing(outNeed), crossing(inNeed), inNeed * (nf - 1) / nf
 	}
 	// fprop: scatter X over (g, i), gather Y over (g, f), reduce the Y
 	// partial sums across the Ni input-channel shards.
-	return inNeed * crossing, outNeed * crossing, outNeed * float64(ni-1) / float64(ni)
+	return crossing(inNeed), crossing(outNeed), outNeed * (ni - 1) / ni
 }
 
 // Factorization is one ordered (Ng, Nc, Nf, Ni) split of the fleet.

@@ -3,31 +3,66 @@ package comm
 import (
 	"testing"
 
+	"mptwino/internal/conv"
 	"mptwino/internal/model"
 	"mptwino/internal/winograd"
 )
 
-// TestExtendedVolumesDegenerate pins the four-axis model to the legacy
-// two-axis one: at Nf = Ni = 1 the extended formulas must reproduce the
-// paper's volumes bit-exactly for every catalog layer and menu config.
+// sectionIIIC is the paper's closed-form per-worker traffic of an
+// Nf = Ni = 1 Winograd strategy (Section III-C), written out from
+// TileTransferPerWorker and RingCollectivePerWorker as the reference the
+// one phase model must reproduce.
+func sectionIIIC(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
+	if s.Ng == 1 {
+		// w_dp: spatial weights reduced across every worker, no tiles.
+		return Volumes{Weight: RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())}
+	}
+	in := TileBytes(tr, p, batch, p.In)
+	out := TileBytes(tr, p, batch, p.Out)
+	gather := TileTransferPerWorker(out, s.Ng, s.Nc) + TileTransferPerWorker(in, s.Ng, s.Nc)
+	scatter := TileTransferPerWorker(in, s.Ng, s.Nc) + TileTransferPerWorker(out, s.Ng, s.Nc)
+	if winograd.HoldsWholeLines(tr.T, s.Ng) {
+		gather = gather * int64(tr.M) / int64(tr.T)
+	}
+	return Volumes{
+		Weight:      RingCollectivePerWorker(WinogradWeightBytes(tr, p)/int64(s.Ng), s.Nc),
+		TileGather:  int64(float64(gather) * (1 - s.GatherReduction)),
+		TileScatter: int64(float64(scatter) * (1 - s.ScatterReduction)),
+	}
+}
+
+// TestExtendedVolumesDegenerate pins the one four-axis model to the
+// paper's closed form: at Nf = Ni = 1, LayerVolumes must equal the
+// Section III-C formula exactly for every catalog layer on the healthy
+// menu and on the survivor grids — (16,15) and (4,63) divide no tile
+// volume evenly, which is where a float formula drifts off the int64
+// floors.
 func TestExtendedVolumesDegenerate(t *testing.T) {
-	const p = 256
-	nets := append(model.AllNetworks(), model.VGG16())
+	nets := append(model.AllNetworks(), model.VGG16(), model.AlexNet(),
+		model.Network{Name: "TableII", Batch: 256, Layers: model.FiveLayers()},
+		model.Network{Name: "TableII-5x5", Batch: 256, Layers: model.FiveLayers5x5()})
+	var grids []ClusterConfig
+	grids = append(grids, DefaultConfigs(256)...)
+	grids = append(grids, SurvivorConfigs(255)...)
+	grids = append(grids, SurvivorConfigs(240)...)
 	for _, net := range nets {
 		for _, l := range net.Layers {
-			for _, cfg := range DefaultConfigs(p) {
-				if cfg.Ng == 1 {
-					continue // no ext strategy has a one-worker cell
+			for _, cfg := range grids {
+				for _, pred := range []bool{false, true} {
+					s, tr := StrategyFor(cfg, l.P.K, pred, PaperReductions())
+					s.Nf, s.Ni = 1, 1
+					got := LayerVolumes(tr, l.P, net.Batch, s)
+					if want := sectionIIIC(tr, l.P, net.Batch, s); got != want {
+						t.Errorf("%s %s (Ng=%d,Nc=%d) pred=%v: model %+v != closed form %+v",
+							net.Name, l.Name, cfg.Ng, cfg.Nc, pred, got, want)
+					}
 				}
-				s, tr := StrategyFor(cfg, l.P.K, true, PaperReductions())
-				legacy := LayerVolumes(tr, l.P, net.Batch, s)
-
-				s.Nf, s.Ni = 1, 1
-				ext := layerVolumesExt(tr, l.P, net.Batch, s)
-				if ext != legacy {
-					t.Errorf("%s %s (Ng=%d,Nc=%d): ext %+v != legacy %+v",
-						net.Name, l.Name, cfg.Ng, cfg.Nc, ext, legacy)
-				}
+			}
+			// d_dp: direct convolution reduces spatial weights over all p.
+			d := Strategy{Ng: 1, Nc: 256}
+			want := Volumes{Weight: RingCollectivePerWorker(SpatialWeightBytes(l.P), 256)}
+			if got := LayerVolumes(nil, l.P, net.Batch, d); got != want {
+				t.Errorf("%s %s d_dp: %+v != %+v", net.Name, l.Name, got, want)
 			}
 		}
 	}
@@ -46,7 +81,7 @@ func TestExtendedVolumesAxes(t *testing.T) {
 	fs := Strategy{Ng: 4, Nc: 16, Nf: 4, Ni: 1, Winograd: true}
 	cs := Strategy{Ng: 4, Nc: 16, Nf: 1, Ni: 4, Winograd: true}
 
-	vb := layerVolumesExt(tr, l.P, 256, base)
+	vb := LayerVolumes(tr, l.P, 256, base)
 	vf := LayerVolumes(tr, l.P, 256, fs)
 	vc := LayerVolumes(tr, l.P, 256, cs)
 
@@ -75,7 +110,7 @@ func TestExtPhaseVolumesMirror(t *testing.T) {
 	sF, gF, _ := ExtPhaseVolumes(tr, l.P, 256, s, false)
 	sB, gB, _ := ExtPhaseVolumes(tr, l.P, 256, s, true)
 	if sF != gB || gF != sB {
-		t.Errorf("fprop (s=%g,g=%g) and bprop (s=%g,g=%g) are not mirrored", sF, gF, sB, gB)
+		t.Errorf("fprop (s=%d,g=%d) and bprop (s=%d,g=%d) are not mirrored", sF, gF, sB, gB)
 	}
 }
 

@@ -196,23 +196,23 @@ func TestCandidatesValid(t *testing.T) {
 }
 
 // TestPruningSound verifies the lower bound never eliminates a candidate
-// that would have won: the chosen strategy's simulated time is no worse
-// than every pruned candidate's communication floor (which bounds that
-// candidate's achievable time from below).
+// that would have won: every candidate's communication floor stays at or
+// below its simulated time, for AlexNet and VGG-16 on the healthy fleet
+// and on the 255/240-worker survivor counts whose grids divide unevenly.
 func TestPruningSound(t *testing.T) {
-	net := model.AlexNet()
-	sys := sim.DefaultSystem()
-	for _, l := range net.Layers {
-		cands := Candidates(l, net.Batch, sys.Workers, true, sys.Reductions, false)
-		bestSim := 0.0
-		for _, c := range cands {
-			r := sys.SimulateLayerStrategy(l, net.Batch, sim.WMpFull, c.St)
-			if bestSim == 0 || r.TotalSec() < bestSim {
-				bestSim = r.TotalSec()
-			}
-			floor := sys.CommFloorSec(l, net.Batch, c.St)
-			if floor > r.TotalSec()*1.000001 {
-				t.Errorf("%s: floor %.ger exceeds simulated %.6g for %+v", l.Name, floor, r.TotalSec(), c.St)
+	for _, net := range []model.Network{model.AlexNet(), model.VGG16()} {
+		for _, p := range []int{256, 255, 240} {
+			sys := sim.DefaultSystem()
+			sys.Workers = p
+			for _, l := range net.Layers {
+				for _, c := range Candidates(l, net.Batch, p, true, sys.Reductions, false) {
+					r := sys.SimulateLayerStrategy(l, net.Batch, sim.WMpFull, c.St)
+					floor := sys.CommFloorSec(l, net.Batch, c.St)
+					if floor > r.TotalSec()*1.000001 {
+						t.Errorf("%s %s p=%d: floor %.6g exceeds simulated %.6g for %+v",
+							net.Name, l.Name, p, floor, r.TotalSec(), c.St)
+					}
+				}
 			}
 		}
 	}

@@ -174,21 +174,12 @@ func (s System) clusterMenu() []comm.ClusterConfig {
 	return comm.DefaultConfigs(s.Workers)
 }
 
-// ringBW returns the per-worker outgoing bandwidth available to weight
-// collectives under the config: data-parallel configs use all four links
-// as rings; MPT gives half to the FBFLY.
-func (s System) ringBW(c SystemConfig) float64 {
-	if c.isMPT() {
-		return s.LinkBW / 2
+// ringBW returns the per-worker outgoing bandwidth available to a weight
+// collective: spatial (data-parallel) collectives use all four links as
+// rings; Winograd-domain shards get the half MPT leaves beside the FBFLY.
+func (s System) ringBW(spatial bool) float64 {
+	if spatial {
+		return s.LinkBW
 	}
-	return s.LinkBW
-}
-
-// tileBW returns the per-worker outgoing bandwidth available to tile
-// transfer (zero for data-parallel configs, which have none).
-func (s System) tileBW(c SystemConfig) float64 {
-	if c.isMPT() {
-		return s.LinkBW / 2
-	}
-	return 0
+	return s.LinkBW / 2
 }

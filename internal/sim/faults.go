@@ -7,7 +7,6 @@ import (
 	"mptwino/internal/comm"
 	"mptwino/internal/model"
 	"mptwino/internal/telemetry"
-	"mptwino/internal/winograd"
 )
 
 // RecoveryResult reports a fault-recovery simulation: the same network and
@@ -134,17 +133,9 @@ func survivorModules(modules, failed []int) []int {
 func (s System) reshardSeconds(net model.Network, c SystemConfig, degraded NetworkResult) float64 {
 	var perWorker int64
 	for i, l := range net.Layers {
-		ng := degraded.Layers[i].Ng
-		var shard int64
-		if c == DDp || ng <= 1 {
-			shard = comm.SpatialWeightBytes(l.P)
-		} else {
-			tr, err := winograd.ForKernel(l.P.K, ng)
-			if err != nil {
-				continue
-			}
-			shard = comm.WinogradWeightBytes(tr, l.P) / int64(ng)
-		}
+		r := degraded.Layers[i]
+		st := comm.Strategy{Ng: r.Ng, Nc: r.Nc, Nf: r.Nf, Ni: r.Ni, Winograd: c != DDp}
+		shard, _, _ := comm.WeightCollective(transformFor(st, l.P.K), l.P, st)
 		perWorker += shard * int64(l.EffectiveRepeat())
 	}
 	return float64(perWorker) / hostLinkBW

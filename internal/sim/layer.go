@@ -133,7 +133,7 @@ func (p phase) breakdown() Breakdown {
 func (s System) strategyFor(c SystemConfig, p conv.Params, batch int) (comm.Strategy, *winograd.Transform) {
 	switch {
 	case c == DDp:
-		return comm.Strategy{Ng: 1, Nc: s.Workers}, winograd.F4x4_3x3 // transform unused
+		return comm.Strategy{Ng: 1, Nc: s.Workers}, nil // direct convolution reads no transform
 	case c == WDp:
 		tr, err := winograd.ForKernel(p.K, 1)
 		if err != nil {
@@ -227,12 +227,9 @@ func (s System) simulateWithStrategy(l model.Layer, batch int, c SystemConfig, s
 		Nf: st.FilterShards(), Ni: st.ChannelShards()}
 
 	var fwd, bwd phase
-	switch {
-	case c == DDp:
-		fwd, bwd = s.directPhases(p, batch)
-	case st.Extended():
-		fwd, bwd = s.winogradPhasesExt(p, batch, st, tr, l.EffectiveGatherScale())
-	default:
+	if c == DDp {
+		fwd, bwd = s.directPhases(p, batch, st)
+	} else {
 		fwd, bwd = s.winogradPhases(p, batch, st, tr, l.EffectiveGatherScale())
 	}
 
@@ -259,7 +256,7 @@ func (s System) simulateWithStrategy(l model.Layer, batch int, c SystemConfig, s
 
 // directPhases models the d_dp baseline: one big matmul per phase
 // (im2col-lowered), full spatial data movement, spatial weight collective.
-func (s System) directPhases(p conv.Params, batch int) (fwd, bwd phase) {
+func (s System) directPhases(p conv.Params, batch int, st comm.Strategy) (fwd, bwd phase) {
 	pw := int64(s.Workers)
 	oh, ow := int64(p.OutH()), int64(p.OutW())
 	rowsPerWorker := (int64(batch)*oh*ow + pw - 1) / pw // output pixels per worker
@@ -281,24 +278,24 @@ func (s System) directPhases(p conv.Params, batch int) (fwd, bwd phase) {
 	bwd.dramSec = s.NDP.DRAMSeconds(bwd.dramBytes)
 	bwd.macs = bc.MACs + uc.MACs
 
-	// Weight collective: reduce + broadcast of spatial weights.
-	wBytes := comm.SpatialWeightBytes(p)
-	oneWay := comm.RingCollectivePerWorker(wBytes, s.Workers)
-	bwd.collBytes = 2 * oneWay
-	bwd.collSec = s.collectiveSeconds(wBytes, s.Workers, s.ringBW(DDp))
-	bwd.netBytes = 2 * oneWay * pw
+	s.addCollective(&bwd, nil, p, st, pw)
 	return fwd, bwd
 }
 
-// winogradPhases models all Winograd configs: element-partitioned dot
-// products, transforms on the vector unit, tile transfer (MPT only) and
-// the group-ring weight collective.
+// winogradPhases models every Winograd strategy on the four-axis space
+// (comm/multiaxis.go): each worker runs its group's T²/Ng element GEMMs on
+// In/Ni × Out/Nf channel shards, the cell fabric of D = Ng·Nf·Ni workers
+// carries the tile scatter/gather and the partial-sum reductions, and the
+// weight collective follows comm.WeightCollective. The paper's w_dp and
+// MPT wirings are the Nf = Ni = 1 strategies.
 func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *winograd.Transform, gatherScale float64) (fwd, bwd phase) {
 	// Active workers in the grid. For healthy divisible configurations this
 	// equals s.Workers; survivor menus may idle a remainder (e.g. (16,15)
 	// uses 240 of 255 survivors), and idle workers contribute no compute or
 	// traffic.
 	pw := int64(st.Workers())
+	ni := int64(st.ChannelShards())
+	nf := int64(st.FilterShards())
 	t2 := int64(tr.T) * int64(tr.T)
 	// Element load per worker. When Ng divides T² each group owns whole
 	// elements; otherwise the surplus elements' output channels are
@@ -307,6 +304,8 @@ func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *w
 	// ring-reduces only its own dW columns), so the load balances to
 	// T²/Ng fractionally.
 	elemsPerWorker := float64(t2) / float64(st.Ng)
+	inShard := (int64(p.In) + ni - 1) / ni
+	outShard := (int64(p.Out) + nf - 1) / nf
 	tiles := comm.TileBytes(tr, p, batch, 1) / 4 / t2 // tiles per channel-batch
 	rowsPerWorker := tiles / int64(st.Nc)
 	if rowsPerWorker < 1 {
@@ -318,74 +317,67 @@ func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *w
 	uc := winograd.UpdateGradCost(tr, p, batch)
 
 	// --- forward ---
-	// Dot products: elemsPerWorker independent (rows × I)·(I × J) matmuls.
-	fwd.systolicSec = elemsPerWorker * s.NDP.MatmulSeconds(rowsPerWorker, int64(p.In), int64(p.Out))
+	// Dot products: elemsPerWorker independent (rows × In/Ni)·(In/Ni × Out/Nf)
+	// matmuls.
+	fwd.systolicSec = elemsPerWorker * s.NDP.MatmulSeconds(rowsPerWorker, inShard, outShard)
 	fwd.vectorSec = float64(s.NDP.VectorCycles(fc.TransformMACs/pw)) / s.NDP.ClockHz
-	fwd.dramBytes = s.winogradDRAMBytes(fc, st, tr, p, rowsPerWorker)
+	fwd.dramBytes = s.winogradDRAMBytes(fc, st, rowsPerWorker)
 	fwd.dramSec = s.NDP.DRAMSeconds(fwd.dramBytes)
 	fwd.macs = fc.DotMACs
 	fwd.vops = fc.TransformMACs
-
-	inTiles := comm.TileBytes(tr, p, batch, p.In)
-	outTiles := comm.TileBytes(tr, p, batch, p.Out)
-	oneD := winograd.HoldsWholeLines(tr.T, st.Ng) && st.Ng > 1
-
-	scatterF := float64(comm.TileTransferPerWorker(inTiles, st.Ng, st.Nc)) * (1 - st.ScatterReduction)
-	gatherF := float64(comm.TileTransferPerWorker(outTiles, st.Ng, st.Nc)) * (1 - st.GatherReduction) * gatherScale
-	if oneD {
-		gatherF *= float64(tr.M) / float64(tr.T)
-	}
-	fwd.tileCommBytes = int64(scatterF + gatherF)
-	fwd.tileCommSec = s.tileSeconds(fwd.tileCommBytes, st)
-	fwd.netBytes = int64((scatterF + gatherF) * meanTileHops(st.Ng) * float64(pw))
+	s.addTiles(&fwd, tr, p, batch, st, false, gatherScale)
 
 	// --- backward: bprop + updateGrad ---
-	bwd.systolicSec = elemsPerWorker * (s.NDP.MatmulSeconds(rowsPerWorker, int64(p.Out), int64(p.In)) +
-		s.NDP.MatmulSeconds(int64(p.In), rowsPerWorker, int64(p.Out)))
+	bwd.systolicSec = elemsPerWorker * (s.NDP.MatmulSeconds(rowsPerWorker, outShard, inShard) +
+		s.NDP.MatmulSeconds(inShard, rowsPerWorker, outShard))
 	bwd.vectorSec = float64(s.NDP.VectorCycles(bc.TransformMACs/pw)) / s.NDP.ClockHz
-	bwd.dramBytes = s.winogradDRAMBytes(bc, st, tr, p, rowsPerWorker) +
-		s.winogradDRAMBytes(uc, st, tr, p, rowsPerWorker)
+	bwd.dramBytes = s.winogradDRAMBytes(bc, st, rowsPerWorker) +
+		s.winogradDRAMBytes(uc, st, rowsPerWorker)
 	bwd.dramSec = s.NDP.DRAMSeconds(bwd.dramBytes)
 	bwd.macs = bc.DotMACs + uc.DotMACs
 	bwd.vops = bc.TransformMACs
+	s.addTiles(&bwd, tr, p, batch, st, true, gatherScale)
 
-	scatterB := float64(comm.TileTransferPerWorker(outTiles, st.Ng, st.Nc)) * (1 - st.ScatterReduction)
-	gatherB := float64(comm.TileTransferPerWorker(inTiles, st.Ng, st.Nc)) * (1 - st.GatherReduction) * gatherScale
-	if oneD {
-		gatherB *= float64(tr.M) / float64(tr.T)
-	}
-	bwd.tileCommBytes = int64(scatterB + gatherB)
-	bwd.tileCommSec = s.tileSeconds(bwd.tileCommBytes, st)
-	bwd.netBytes = int64((scatterB + gatherB) * meanTileHops(st.Ng) * float64(pw))
-
-	// Weight collective. Data-parallel Winograd updates spatial w
-	// (Table IV "update w"); MPT updates the Winograd-domain shard.
-	var msg int64
-	ring := st.Nc
-	if st.Ng == 1 {
-		msg = comm.SpatialWeightBytes(p)
-	} else {
-		msg = comm.WinogradWeightBytes(tr, p) / int64(st.Ng)
-	}
-	oneWay := comm.RingCollectivePerWorker(msg, ring)
-	bwd.collBytes = 2 * oneWay
-	var cfgClass SystemConfig = WMp
-	if st.Ng == 1 {
-		cfgClass = WDp
-	}
-	bwd.collSec = s.collectiveSeconds(msg, ring, s.ringBW(cfgClass))
-	bwd.netBytes += 2 * oneWay * pw
+	s.addCollective(&bwd, tr, p, st, pw)
 	return fwd, bwd
 }
 
+// addTiles charges one phase's tile traffic (comm.ExtPhaseVolumes) to the
+// cell fabric. The Section V reductions, gather scaling and the 1-D gather
+// shrink apply to scatter and gather; partial sums move not-yet-final
+// values and take none of them.
+func (s System) addTiles(ph *phase, tr *winograd.Transform, p conv.Params, batch int, st comm.Strategy, backward bool, gatherScale float64) {
+	sc, ga, ps := comm.ExtPhaseVolumes(tr, p, batch, st, backward)
+	scatter := float64(sc) * (1 - st.ScatterReduction)
+	gather := float64(ga) * (1 - st.GatherReduction) * gatherScale
+	if st.Ng > 1 && winograd.HoldsWholeLines(tr.T, st.Ng) {
+		gather *= float64(tr.M) / float64(tr.T)
+	}
+	bytes := scatter + gather + float64(ps)
+	ph.tileCommBytes = int64(bytes)
+	ph.tileCommSec = s.tileSeconds(ph.tileCommBytes, st.Cell())
+	ph.netBytes = int64(bytes * meanTileHops(st.Cell()) * float64(st.Workers()))
+}
+
+// addCollective charges the layer's weight-gradient ring collective
+// (comm.WeightCollective: reduce + broadcast, serialized after updateGrad)
+// to the backward phase of a pw-worker grid.
+func (s System) addCollective(bwd *phase, tr *winograd.Transform, p conv.Params, st comm.Strategy, pw int64) {
+	msg, ring, spatial := comm.WeightCollective(tr, p, st)
+	oneWay := comm.RingCollectivePerWorker(msg, ring)
+	bwd.collBytes = 2 * oneWay
+	bwd.collSec = s.collectiveSeconds(msg, ring, s.ringBW(spatial))
+	bwd.netBytes += 2 * oneWay * pw
+}
+
 // winogradDRAMBytes distributes one phase's data volume to a worker:
-// tiles and spatial data split across all p workers; the weight shard is
-// group-local and re-read once per systolic pass when it exceeds the
-// double-buffered SRAM.
-func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, tr *winograd.Transform, p conv.Params, rows int64) int64 {
+// tiles and spatial data split across all workers; the weight shard is
+// the cell-local 1/D share and is re-read once per systolic pass when it
+// exceeds the double-buffered SRAM.
+func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, rows int64) int64 {
 	pw := int64(st.Workers())
 	b := (cst.TileBytes + cst.SpatialBytes) / pw
-	shard := cst.WeightBytes / int64(st.Ng)
+	shard := cst.WeightBytes / int64(st.Cell())
 	if shard > 0 {
 		passes := int64(1)
 		if !s.NDP.WeightsFitInBuffer(shard) {
@@ -399,15 +391,16 @@ func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, tr *winog
 	return b
 }
 
-// tileSeconds converts per-worker tile-transfer bytes to time on the
-// cluster fabric, derated by the mean hop count (intermediate hops consume
-// link capacity) plus the diameter's SerDes latency.
-func (s System) tileSeconds(bytes int64, st comm.Strategy) float64 {
-	if bytes == 0 || st.Ng <= 1 {
+// tileSeconds converts per-worker tile-fabric bytes to time for a
+// cell-worker cell on the cluster fabric, derated by the mean hop count
+// (intermediate hops consume link capacity) plus the diameter's SerDes
+// latency. A cell with Ng = 1 but Nf·Ni > 1 still moves tiles.
+func (s System) tileSeconds(bytes int64, cell int) float64 {
+	if bytes == 0 || cell <= 1 {
 		return 0
 	}
 	bw := s.LinkBW / 2 // MPT tile share
-	hops := meanTileHops(st.Ng)
+	hops := meanTileHops(cell)
 	cong := s.TileCongestion
 	if cong <= 0 {
 		cong = 1

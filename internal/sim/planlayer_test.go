@@ -9,18 +9,41 @@ import (
 )
 
 // TestSimulateLayerStrategyMatchesFixedGrid pins the oracle entry point
-// to the existing fixed-grid path: feeding it the (16,16) menu strategy
-// must reproduce SimulateLayer(WMp) bit-exactly.
+// to the fixed-config paths, on a healthy 256-worker system and on a
+// 255-survivor system whose menu idles part of the grid: the menu's
+// leading (Ng, Nc) must reproduce SimulateLayer(WMp), the one-worker-cell
+// strategy SimulateLayer(WDp) (spatial weights on the w_dp ring), and
+// every dynamic-clustering menu cell the time w_mp++ recorded for it.
 func TestSimulateLayerStrategyMatchesFixedGrid(t *testing.T) {
-	s := DefaultSystem()
+	survivor := DefaultSystem()
+	survivor.Workers = 255
+	survivor.Menu = comm.SurvivorConfigs(255)
 	net := model.VGG16()
-	for _, l := range net.Layers {
-		st, _ := comm.StrategyFor(comm.ClusterConfig{Ng: 16, Nc: 16}, l.P.K, false, s.Reductions)
-		got := s.SimulateLayerStrategy(l, net.Batch, WMp, st)
-		want := s.SimulateLayer(l, net.Batch, WMp)
-		if got.TotalSec() != want.TotalSec() || got.NetBytes != want.NetBytes ||
-			got.DRAMBytes != want.DRAMBytes || got.BoundBytes != want.BoundBytes {
-			t.Fatalf("%s: strategy oracle %+v != fixed grid %+v", l.Name, got, want)
+	for _, s := range []System{DefaultSystem(), survivor} {
+		same := func(what string, got, want LayerResult) {
+			t.Helper()
+			if got.TotalSec() != want.TotalSec() || got.NetBytes != want.NetBytes ||
+				got.DRAMBytes != want.DRAMBytes || got.BoundBytes != want.BoundBytes {
+				t.Fatalf("p=%d %s %s: strategy oracle %+v != fixed config %+v", s.Workers, got.Name, what, got, want)
+			}
+		}
+		menu := s.clusterMenu()
+		for _, l := range net.Layers {
+			st, _ := comm.StrategyFor(menu[0], l.P.K, false, s.Reductions)
+			same("w_mp", s.SimulateLayerStrategy(l, net.Batch, WMp, st), s.SimulateLayer(l, net.Batch, WMp))
+
+			st = comm.Strategy{Ng: 1, Nc: s.Workers, Winograd: true}
+			same("w_dp", s.SimulateLayerStrategy(l, net.Batch, WDp, st), s.SimulateLayer(l, net.Batch, WDp))
+
+			dyn := s.SimulateLayer(l, net.Batch, WMpFull)
+			for i, cc := range menu {
+				st, _ := comm.StrategyFor(cc, l.P.K, true, s.Reductions)
+				got := s.SimulateLayerStrategy(l, net.Batch, WMpFull, st)
+				if got.TotalSec() != dyn.Menu[i].TotalSec {
+					t.Fatalf("p=%d %s w_mp++ cell (%d,%d): oracle %g != menu %g",
+						s.Workers, l.Name, cc.Ng, cc.Nc, got.TotalSec(), dyn.Menu[i].TotalSec)
+				}
+			}
 		}
 	}
 }

@@ -252,14 +252,14 @@ func TestMeanTileHops(t *testing.T) {
 
 func TestBandwidthSplit(t *testing.T) {
 	s := DefaultSystem()
-	if s.ringBW(WDp) != s.LinkBW {
+	if s.ringBW(true) != s.LinkBW {
 		t.Fatal("data-parallel should use all links for rings")
 	}
-	if s.ringBW(WMp) != s.LinkBW/2 || s.tileBW(WMp) != s.LinkBW/2 {
+	if s.ringBW(false) != s.LinkBW/2 {
 		t.Fatal("MPT should split bandwidth in half")
 	}
-	if s.tileBW(DDp) != 0 {
-		t.Fatal("direct DP has no tile fabric")
+	if s.tileSeconds(1<<20, 1) != 0 {
+		t.Fatal("a one-worker cell has no tile fabric")
 	}
 }
 
