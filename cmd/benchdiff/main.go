@@ -123,10 +123,10 @@ func main() {
 		}
 		fatal(err)
 	}
-	// Model metrics are only comparable between runs on the same GEMM
-	// dispatch tier: the fused `fma` tier rounds differently by design, and
-	// wall-time baselines recorded on one tier gate meaninglessly against
-	// another. Refuse rather than report bogus drift.
+	// Every GEMM dispatch tier is bit-identical, so model metrics do not
+	// depend on the tier; wall-time baselines recorded on one tier still
+	// gate meaninglessly against another. Refuse rather than report bogus
+	// drift.
 	if base.GemmKernel != "" && base.GemmKernel != snap.GemmKernel {
 		fmt.Printf("benchdiff: FAIL — baseline recorded on gemm tier %q (cpu %s) but this run dispatched %q (cpu %s)\n",
 			base.GemmKernel, base.CPUFeature, snap.GemmKernel, snap.CPUFeature)

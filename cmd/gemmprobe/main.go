@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	require := flag.String("require", "", "exit 0 iff this dispatch tier is available on this CPU")
+	require := flag.String("require", "", "exit 0 iff this build can run this dispatch tier here")
 	flag.Parse()
 	tiers := tensor.GemmKernels()
 	fmt.Printf("tiers: %s\n", strings.Join(tiers, " "))
@@ -32,6 +32,7 @@ func main() {
 			return
 		}
 	}
-	fmt.Fprintf(os.Stderr, "gemmprobe: tier %q not available on this CPU\n", *require)
+	fmt.Fprintf(os.Stderr, "gemmprobe: %q is not a GEMM tier this build can run here (available: %s)\n",
+		*require, strings.Join(tiers, "|"))
 	os.Exit(1)
 }

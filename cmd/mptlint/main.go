@@ -65,9 +65,9 @@ func run() int {
 	if *runNames != "" {
 		names = strings.Split(*runNames, ",")
 	}
-	analyzers := lint.ByName(names)
-	if len(analyzers) == 0 {
-		fmt.Fprintf(os.Stderr, "mptlint: no analyzer matches -run %q (try -list)\n", *runNames)
+	analyzers, err := lint.ByName(names)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mptlint: -run %q: %v (try -list)\n", *runNames, err)
 		return 2
 	}
 

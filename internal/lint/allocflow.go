@@ -75,7 +75,7 @@ var sanctionedCallees = map[string]string{
 	"(*sync.Pool).Put": "returns scratch to the pool; does not allocate",
 
 	// The runtime-dispatched register-tile micro-kernel: a function-typed
-	// field so the AVX2/FMA tier can be selected per CPU at startup. The
+	// field so the SSE2 or AVX2 tier can be selected per CPU at startup. The
 	// candidates (gemm_amd64 tiers) are straight-line store loops; the
 	// per-tier 0 allocs/op benchmarks cover each one.
 	"(*mptwino/internal/tensor.gemmKernel).kern": "runtime-dispatched micro-kernel tier; all candidates are allocation-free store loops",

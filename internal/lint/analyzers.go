@@ -1,5 +1,12 @@
 package lint
 
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+)
+
 // All returns the full mptlint suite in reporting order. Each analyzer
 // encodes one of the repo's structural invariants; DESIGN.md §9 documents
 // the mapping and the suppression policy.
@@ -9,27 +16,33 @@ func All() []*Analyzer {
 		NoGoroutine,
 		NoAlloc,
 		NoTime,
-		FloatOrder,
 		SharedWrite,
 		DetSelect,
 		AllocFlow,
 	}
 }
 
-// ByName resolves a comma-separated analyzer selection ("" = all).
-func ByName(names []string) []*Analyzer {
+// ByName resolves a comma-separated analyzer selection ("" = all). It
+// errors, listing every name that matches no analyzer, rather than run a
+// silently narrower suite.
+func ByName(names []string) ([]*Analyzer, error) {
 	if len(names) == 0 {
-		return All()
-	}
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
+		return All(), nil
 	}
 	var out []*Analyzer
 	for _, a := range All() {
-		if want[a.Name] {
+		if slices.Contains(names, a.Name) {
 			out = append(out, a)
 		}
 	}
-	return out
+	var unknown []string
+	for _, n := range names {
+		if !slices.ContainsFunc(out, func(a *Analyzer) bool { return a.Name == n }) {
+			unknown = append(unknown, strconv.Quote(n))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("lint: unknown analyzer name(s) %s", strings.Join(unknown, ", "))
+	}
+	return out, nil
 }

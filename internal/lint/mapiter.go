@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // MapIter flags `range` over a map whose body leaks the nondeterministic
@@ -26,16 +27,18 @@ func runMapIter(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
+			if !ok || !isMapRange(pass, rs) {
 				return true
 			}
-			if t := pass.TypeOf(rs.X); t == nil || !isMap(t) {
-				return true
-			}
-			checkMapRangeBody(pass, file, rs)
-			return true
+			checkMapRangeBody(pass, file, []*ast.RangeStmt{rs})
+			return false // nested map ranges are walked with their enclosing chain
 		})
 	}
+}
+
+func isMapRange(pass *Pass, rs *ast.RangeStmt) bool {
+	t := pass.TypeOf(rs.X)
+	return t != nil && isMap(t)
 }
 
 func isMap(t types.Type) bool {
@@ -43,26 +46,29 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-func checkMapRangeBody(pass *Pass, file *ast.File, rs *ast.RangeStmt) {
+// checkMapRangeBody checks the body of the innermost map range in ranges,
+// the chain of enclosing map ranges (outermost first). A nested map range
+// reports on its own, with the chain extended by itself.
+func checkMapRangeBody(pass *Pass, file *ast.File, ranges []*ast.RangeStmt) {
+	rs := ranges[len(ranges)-1]
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			// Nested map ranges report on their own.
-			if n != rs {
-				if t := pass.TypeOf(n.X); t != nil && isMap(t) {
-					return false
-				}
+			if isMapRange(pass, n) {
+				checkMapRangeBody(pass, file, append(ranges[:len(ranges):len(ranges)], n))
+				return false
 			}
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(), "channel send inside map iteration: receive order depends on map iteration order")
 		case *ast.AssignStmt:
-			checkMapRangeAssign(pass, file, rs, n)
+			checkMapRangeAssign(pass, file, ranges, n)
 		}
 		return true
 	})
 }
 
-func checkMapRangeAssign(pass *Pass, file *ast.File, rs *ast.RangeStmt, as *ast.AssignStmt) {
+func checkMapRangeAssign(pass *Pass, file *ast.File, ranges []*ast.RangeStmt, as *ast.AssignStmt) {
+	rs := ranges[len(ranges)-1]
 	// x = append(x, ...) — the element order of x becomes map order.
 	if as.Tok == token.ASSIGN || as.Tok == token.DEFINE {
 		for i, rhs := range as.Rhs {
@@ -79,13 +85,34 @@ func checkMapRangeAssign(pass *Pass, file *ast.File, rs *ast.RangeStmt, as *ast.
 	// acc += v / acc = acc + v where acc is a float: float addition is
 	// not associative, so the accumulated bits depend on map order.
 	if lhs, ok := floatAccumTarget(pass.Info, as); ok {
-		// Writes to a slot keyed by this iteration's map key are
-		// per-key and therefore order-independent.
-		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && keyedByRangeVar(pass, rs, idx.Index) {
+		// A write to a slot keyed by every enclosing map range's key (or
+		// value) is per-key and therefore order-independent. A slot keyed
+		// by the inner key alone still folds across outer iterations.
+		if keyedByAllRangeVars(pass, ranges, lhs) {
 			return
 		}
 		pass.Reportf(as.Pos(), "float accumulation inside map iteration: result bits depend on map iteration order (iterate a sorted key slice)")
 	}
+}
+
+// keyedByAllRangeVars reports whether the index chain of lhs (the i and j
+// of out[i][j]) mentions the key or value of every range in ranges.
+func keyedByAllRangeVars(pass *Pass, ranges []*ast.RangeStmt, lhs ast.Expr) bool {
+	var indices []ast.Expr
+	for {
+		idx, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		indices = append(indices, idx.Index)
+		lhs = idx.X
+	}
+	for _, rs := range ranges {
+		if !slices.ContainsFunc(indices, func(index ast.Expr) bool { return keyedByRangeVar(pass, rs, index) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // floatAccumTarget reports whether as accumulates a float (op= with an

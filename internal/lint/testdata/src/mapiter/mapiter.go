@@ -54,6 +54,25 @@ func perKeyWrite(m map[int]float64, out []float64) {
 	}
 }
 
+// A slot keyed by the inner key alone still folds across the outer map's
+// iterations, so its bits depend on the outer iteration order.
+func nestedFoldAcrossOuter(outer map[string]map[int]float64, out []float64) {
+	for _, in := range outer {
+		for j, v := range in {
+			out[j] += v // want `float accumulation inside map iteration`
+		}
+	}
+}
+
+// Keyed by both enclosing ranges: every slot is written once per key pair.
+func nestedPerKey(outer map[int]map[int]float64, out [][]float64) {
+	for i, in := range outer {
+		for j, v := range in {
+			out[i][j] += v
+		}
+	}
+}
+
 func channelSend(m map[int]int, ch chan int) {
 	for k := range m {
 		ch <- k // want `channel send inside map iteration`
@@ -73,7 +92,7 @@ func sliceRange(xs []float64) float64 {
 func suppressed(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum += v //nolint:mapiter,floatorder -- testdata: exercising the suppression path itself
+		sum += v //nolint:mapiter -- testdata: exercising the suppression path itself
 	}
 	return sum
 }

@@ -2,8 +2,6 @@
 
 package tensor
 
-import "strings"
-
 // kernel4x8 computes the full 4×8 tile at dst (row stride ldd float32
 // elements) over one packed depth block: it seeds its accumulators from
 // dst, then adds as[k·4+r]·bs[k·8+c] for k ascending, and stores the tile
@@ -16,52 +14,45 @@ import "strings"
 func kernel4x8(dst *float32, ldd, kc int, as, bs *float32)
 
 // kernel8x8avx2 is the 8×8 AVX2 tile kernel (vmulps+vaddps lane chains,
-// bit-identical to kernel4x8/naive); kernel8x8fma is its fused twin
-// (vfmadd231ps, FMA32 reference semantics). See gemm_amd64.s.
+// bit-identical to kernel4x8/naive). See gemm_amd64.s.
 //
 //go:noescape
 func kernel8x8avx2(dst *float32, ldd, kc int, as, bs *float32)
-
-//go:noescape
-func kernel8x8fma(dst *float32, ldd, kc int, as, bs *float32)
 
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)
 
-// cpuHasAVX2 and cpuHasFMA report *usable* features: the CPUID capability
-// bits AND the OSXSAVE/XGETBV confirmation that the OS preserves YMM state
-// (leaf 1 ECX bits 27/28/12, XCR0&6==6, leaf 7.0 EBX bit 5).
-var cpuHasAVX2, cpuHasFMA = detectCPU()
+// cpuHasAVX2 reports *usable* AVX2: the CPUID capability bits AND the
+// OSXSAVE/XGETBV confirmation that the OS preserves YMM state (leaf 1 ECX
+// bits 27/28, XCR0&6==6, leaf 7.0 EBX bit 5).
+var cpuHasAVX2 = detectCPU()
 
-func detectCPU() (avx2, fma bool) {
+func detectCPU() bool {
 	maxLeaf, _, _, _ := cpuidRaw(0, 0)
 	if maxLeaf < 7 {
-		return false, false
+		return false
 	}
 	_, _, ecx1, _ := cpuidRaw(1, 0)
 	const (
-		bitFMA     = 1 << 12
 		bitOSXSAVE = 1 << 27
 		bitAVX     = 1 << 28
 	)
 	if ecx1&bitOSXSAVE == 0 || ecx1&bitAVX == 0 {
-		return false, false
+		return false
 	}
 	if xeax, _ := xgetbvRaw(); xeax&6 != 6 { // XMM (bit 1) + YMM (bit 2)
-		return false, false
+		return false
 	}
 	_, ebx7, _, _ := cpuidRaw(7, 0)
-	avx2 = ebx7&(1<<5) != 0
-	fma = avx2 && ecx1&bitFMA != 0 // the fma kernel also uses AVX2 loads
-	return avx2, fma
+	return ebx7&(1<<5) != 0
 }
 
 // gemmKernels lists the dispatch tiers this CPU can run, portable first and
-// preferred-auto-choice last among the unfused entries. The sse2 tier keeps
-// the historical 4×8 geometry (tuned constants in gemm.go); the 8×8 YMM
-// tiers widen MC/NC so the packed A panel still fits L2 (192·256·4 B =
-// 192 KB) while each B strip stays one 8 KB L1 page (256·8·4 B).
+// the auto choice last. The sse2 tier keeps the historical 4×8 geometry
+// (tuned constants in gemm.go); the 8×8 avx2 tier widens MC/NC so the packed
+// A panel still fits L2 (192·256·4 B = 192 KB) while each B strip stays one
+// 8 KB L1 page (256·8·4 B).
 var gemmKernels = buildGemmKernels()
 
 func buildGemmKernels() []*gemmKernel {
@@ -72,9 +63,6 @@ func buildGemmKernels() []*gemmKernel {
 	if cpuHasAVX2 {
 		ks = append(ks, &gemmKernel{name: "avx2", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8avx2})
 	}
-	if cpuHasFMA {
-		ks = append(ks, &gemmKernel{name: "fma", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8fma, fused: true})
-	}
 	return ks
 }
 
@@ -82,12 +70,8 @@ func buildGemmKernels() []*gemmKernel {
 // capability gated on OS state saving), independent of the selected tier —
 // benchdiff records it next to the tier name in baseline metadata.
 func CPUFeatures() string {
-	fs := []string{"sse2"}
 	if cpuHasAVX2 {
-		fs = append(fs, "avx2")
+		return "sse2+avx2"
 	}
-	if cpuHasFMA {
-		fs = append(fs, "fma")
-	}
-	return strings.Join(fs, "+")
+	return "sse2"
 }

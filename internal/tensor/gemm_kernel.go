@@ -11,28 +11,24 @@ import (
 // a gemmKernel — one register-tiled micro-kernel plus the cache-panel
 // geometry tuned for it — and the process selects the fastest tier the CPU
 // supports at init (raw CPUID on amd64, no third-party modules). The
-// determinism contract stays per-element: every unfused tier computes the
-// same ascending-k float32 chain as MatMulNaiveInto, lane-parallel across
+// determinism contract is per-element: every tier computes the same
+// ascending-k float32 mul+add chain as MatMulNaiveInto, lane-parallel across
 // output columns only, so switching tiers (or machines) never changes a
-// result bit. The one exception is the explicit `fma` tier: fused
-// multiply-adds round once per update, so it is bit-identical to the
-// FMA32 scalar reference instead, and the auto-dispatch never selects it —
-// it must be forced via MPTWINO_GEMM_KERNEL=fma or SelectGemmKernel.
+// result bit.
 //
 // Tier geometry (per micro-kernel, amd64):
 //
 //	sse2  4×8  MC=128 KC=256 NC=512   A panel 128 KB (L2), B strip 8 KB (L1)
 //	avx2  8×8  MC=192 KC=256 NC=1024  A panel 192 KB (L2), B strip 8 KB (L1)
-//	fma   8×8  same panels as avx2, VFMADD231PS inner loop
 //
 // The portable tier has no assembly micro-kernel and keeps every product on
 // the reference loops — the exact behavior of a -tags purego or non-amd64
 // build.
 
 // EnvGemmKernel is the environment variable that forces a dispatch tier
-// (portable|sse2|avx2|fma); empty or "auto" selects the best unfused tier
-// the CPU supports. An unsupported forced tier panics at init with the
-// available list — CI legs probe availability first (cmd/gemmprobe).
+// (portable|sse2|avx2); empty or "auto" selects the fastest tier the CPU
+// supports. A forced tier this build cannot run here panics at init with
+// the available list — CI legs probe availability first (cmd/gemmprobe).
 const EnvGemmKernel = "MPTWINO_GEMM_KERNEL"
 
 // gemmKernel is one dispatch tier: a micro-kernel and its blocking.
@@ -46,11 +42,6 @@ type gemmKernel struct {
 	// accumulators from dst (see kernel4x8). nil marks the portable tier:
 	// no blocking edge, every product stays on the naive reference loops.
 	kern func(dst *float32, ldd, kc int, as, bs *float32)
-
-	// fused marks tiers whose accumulation chain is fused multiply-add
-	// (single rounding per update, FMA32 reference semantics). Never
-	// auto-selected.
-	fused bool
 }
 
 // activeGemm is the tier every MatMul* entry point reads (atomically, so
@@ -68,7 +59,7 @@ func init() {
 
 // SelectGemmKernel forces the GEMM dispatch tier by name ("" or "auto"
 // restores the CPU-probed default). It errors — without changing the
-// active tier — when the name is unknown or the CPU lacks the tier.
+// active tier — when the name is not a tier this build can run here.
 func SelectGemmKernel(name string) error {
 	if name == "" || name == "auto" {
 		activeGemm.Store(autoGemmKernel())
@@ -80,29 +71,20 @@ func SelectGemmKernel(name string) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("tensor: %s=%q is not available on this CPU (available: %s)",
+	return fmt.Errorf("tensor: %s=%q is not a GEMM tier this build can run here (available: %s)",
 		EnvGemmKernel, name, strings.Join(GemmKernels(), "|"))
 }
 
-// autoGemmKernel returns the fastest unfused tier the CPU supports; the
-// tier list is ordered portable-first, fastest-last, with fused tiers
-// (result-changing, explicit-only) never eligible.
-func autoGemmKernel() *gemmKernel {
-	best := gemmKernels[0]
-	for _, g := range gemmKernels[1:] {
-		if !g.fused {
-			best = g
-		}
-	}
-	return best
-}
+// autoGemmKernel returns the fastest tier the CPU supports: the tier list
+// is ordered portable-first, fastest-last.
+func autoGemmKernel() *gemmKernel { return gemmKernels[len(gemmKernels)-1] }
 
 // GemmKernel returns the active dispatch tier's name — the value benchdiff
 // records in baseline metadata.
 func GemmKernel() string { return activeGemm.Load().name }
 
 // GemmKernels lists the tiers this CPU can run, in dispatch-preference
-// order (portable first, fused tiers last).
+// order (portable first, the auto choice last).
 func GemmKernels() []string {
 	out := make([]string, len(gemmKernels))
 	for i, g := range gemmKernels {

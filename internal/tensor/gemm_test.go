@@ -52,16 +52,6 @@ func ulpClose(want, got float32, maxUlps int32) bool {
 	return d <= maxUlps
 }
 
-// gemmRefs returns the reference loops matching tier g's accumulation
-// semantics: the plain ascending-k mul+add chains for unfused tiers, the
-// single-rounded FMA32 chains for fused ones.
-func gemmRefs(g *gemmKernel) (nn, nt, tn func(dst, a, b *Mat)) {
-	if g.fused {
-		return fmaNaiveInto, fmaNTNaiveInto, fmaTNNaiveInto
-	}
-	return MatMulNaiveInto, MatMulNTNaiveInto, MatMulTNNaiveInto
-}
-
 // The blocked kernel must be bit-identical to the naive reference for
 // finite inputs: every output element's float32 accumulation chain is the
 // same ascending-k chain, and the reference's zero-skip only elides ±0
@@ -80,13 +70,12 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 		{40, gemmNC + 3, 19}, {97, 101, 103},
 	}
 	g := activeGemm.Load()
-	refNN, refNT, refTN := gemmRefs(g)
 	for _, sh := range shapes {
 		m, n, k := sh[0], sh[1], sh[2]
 		a := randMat(rng, m, k, 0.15)
 		b := randMat(rng, k, n, 0.15)
 		want := NewMat(m, n)
-		refNN(want, a, b)
+		MatMulNaiveInto(want, a, b)
 
 		got := NewMat(m, n)
 		var s GemmScratch
@@ -103,7 +92,7 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 		bt := b.T()
 		gotNT := NewMat(m, n)
 		wantNT := NewMat(m, n)
-		refNT(wantNT, a, bt)
+		MatMulNTNaiveInto(wantNT, a, bt)
 		gemmBlocked(gotNT, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
 		requireBitIdentical(t, "blocked NT", wantNT, gotNT)
 		gotNT.Zero()
@@ -115,7 +104,7 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 		gotTN := NewMat(m, n)
 		gemmBlocked(gotTN, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
 		wantTN := NewMat(m, n)
-		refTN(wantTN, at, b)
+		MatMulTNNaiveInto(wantTN, at, b)
 		requireBitIdentical(t, "blocked TN", wantTN, gotTN)
 		gotTN.Zero()
 		MatMulTNInto(gotTN, at, b)
@@ -156,9 +145,8 @@ func TestBlockedGemmOverwritesDst(t *testing.T) {
 	m, n, k := 70, 40, 2*gemmKC+17
 	a := randMat(rng, m, k, 0)
 	b := randMat(rng, k, n, 0)
-	refNN, _, _ := gemmRefs(activeGemm.Load())
 	want := NewMat(m, n)
-	refNN(want, a, b)
+	MatMulNaiveInto(want, a, b)
 	got := NewMat(m, n)
 	for i := range got.Data {
 		got.Data[i] = float32(math.NaN())
@@ -199,17 +187,16 @@ func FuzzBlockedGemmMatchesNaive(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randMat(rng, m, k, 0.2)
 		b := randMat(rng, k, n, 0.2)
-		// Every tier this CPU can run must match its own reference chain;
-		// the active tier is restored by the caller-level cleanup below.
+		// Every tier this CPU can run must match the naive reference; the
+		// active tier is restored by the deferred cleanup.
 		defer restoreGemmKernel(t)
 		for _, name := range GemmKernels() {
 			if err := SelectGemmKernel(name); err != nil {
 				t.Fatal(err)
 			}
 			g := activeGemm.Load()
-			refNN, refNT, refTN := gemmRefs(g)
 			want := NewMat(m, n)
-			refNN(want, a, b)
+			MatMulNaiveInto(want, a, b)
 			var s GemmScratch
 			got := NewMat(m, n)
 			gemmBlocked(got, a.Data, a.Cols, b.Data, b.Cols, m, n, k, false, false, &s, g)
@@ -217,12 +204,12 @@ func FuzzBlockedGemmMatchesNaive(f *testing.F) {
 			bt := b.T()
 			gemmBlocked(got, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
 			wantNT := NewMat(m, n)
-			refNT(wantNT, a, bt)
+			MatMulNTNaiveInto(wantNT, a, bt)
 			requireBitIdentical(t, "fuzz NT "+name, wantNT, got)
 			at := a.T()
 			gemmBlocked(got, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
 			wantTN := NewMat(m, n)
-			refTN(wantTN, at, b)
+			MatMulTNNaiveInto(wantTN, at, b)
 			requireBitIdentical(t, "fuzz TN "+name, wantTN, got)
 		}
 	})

@@ -102,11 +102,7 @@ func MatMulInto(dst, a, b *Mat) {
 	countGemm(dst.Rows, dst.Cols, a.Cols)
 	g := activeGemm.Load()
 	if smallGemm(g, dst.Rows, dst.Cols, a.Cols) {
-		if g.fused {
-			fmaNaiveInto(dst, a, b)
-		} else {
-			MatMulNaiveInto(dst, a, b)
-		}
+		MatMulNaiveInto(dst, a, b)
 		return
 	}
 	s := gemmPool.Get().(*GemmScratch)

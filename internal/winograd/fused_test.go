@@ -10,10 +10,8 @@ import (
 
 // sandwichRef is the reference the fused paths must match bit-exactly: the
 // naive mul+add sandwich pipeline the transforms used previously. It pins
-// the unfused reference loops directly rather than tensor.Sandwich because
-// the transform schedules are plain mul+add chains by contract — they do
-// not follow the GEMM dispatch tier, so a forced fused tier
-// (MPTWINO_GEMM_KERNEL=fma) must not change this reference either.
+// the reference loops directly rather than tensor.Sandwich so the check
+// does not depend on the GEMM dispatch tier.
 func sandwichRef(l, x, r *tensor.Mat) *tensor.Mat {
 	lx := tensor.NewMat(l.Rows, x.Cols)
 	tensor.MatMulNaiveInto(lx, l, x)
