@@ -29,10 +29,12 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the numeric invariants: activation-predictor
-# safety and blocked-GEMM bit-identity with the naive reference.
+# safety, blocked-GEMM bit-identity with the naive reference, and the
+# lane-batched Domain transforms' bit-identity with the per-tile loops.
 fuzz:
 	$(GO) test -fuzz=FuzzPredictorNeverUnderestimates -fuzztime=30s ./internal/quant/
 	$(GO) test -fuzz=FuzzBlockedGemmMatchesNaive -fuzztime=30s ./internal/tensor/
+	$(GO) test -fuzz=FuzzLaneTransformsMatchPerTile -fuzztime=30s ./internal/winograd/
 
 # mptlint: the repo's own invariant analyzers (determinism, bounded
 # parallelism, zero-alloc kernels — DESIGN.md §9/§14). Fully offline: type

@@ -83,7 +83,8 @@ type Engine struct {
 
 	Traffic Traffic
 
-	// per-cluster forward caches for updateGrad
+	// per-cluster forward caches for updateGrad; the next forward pass
+	// overwrites them in place when the shard sizes are unchanged
 	lastX []*winograd.Domain
 
 	// sc holds the per-worker tile/packing scratch the Into kernels use;
@@ -185,12 +186,12 @@ func shardBoundsFor(batch, nc int, speeds []float64) ([][2]int, error) {
 	return out, nil
 }
 
-// shard copies images [lo,hi) into a fresh tensor.
+// shard returns images [lo,hi) of x as a view on x's storage: the
+// engine reads its inputs and writes its outputs through it, without
+// copies.
 func shard(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	out := tensor.New(hi-lo, x.C, x.H, x.W)
 	stride := x.C * x.H * x.W
-	copy(out.Data, x.Data[lo*stride:hi*stride])
-	return out
+	return tensor.FromSlice(hi-lo, x.C, x.H, x.W, x.Data[lo*stride:hi*stride])
 }
 
 // countScatter charges tile-scattering traffic for one cluster's Domain:
@@ -222,30 +223,27 @@ func (e *Engine) countScatter(d *winograd.Domain) {
 }
 
 // countGather charges tile-gathering traffic for one cluster's output
-// Domain, honoring prediction skips (skipped tiles pay only the quantized
-// pre-send).
-func (e *Engine) countGather(d *winograd.Domain, skipped map[[2]int]bool) {
+// Domain, honoring prediction skips (skipped[r·C+c] marks a tile that pays
+// only the quantized pre-send; nil skips nothing). Like countScatter it
+// multiplies before dividing by Ng, so the count is exact for every Ng.
+func (e *Engine) countGather(d *winograd.Domain, skipped []bool) {
 	if e.Cfg.Ng <= 1 {
 		return
 	}
+	ng := int64(e.Cfg.Ng)
 	t2 := int64(len(d.El))
-	rows := int64(d.Rows())
-	cols := int64(d.C)
-	frac := int64(e.Cfg.Ng-1) * 4 / int64(e.Cfg.Ng) // bytes per value crossing
+	tiles := int64(d.Rows()) * int64(d.C)
 	if e.Cfg.Predict {
 		bits := int64(e.quantizer.CodeBits())
-		e.Traffic.PredictBytes += rows * cols * t2 * bits / 8 * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
+		e.Traffic.PredictBytes += tiles * t2 * bits / 8 * (ng - 1) / ng
 	}
-	var sent int64
-	for r := int64(0); r < rows; r++ {
-		for c := int64(0); c < cols; c++ {
-			if skipped != nil && skipped[[2]int{int(r), int(c)}] {
-				continue
-			}
-			sent += t2
+	sent := tiles
+	for _, skip := range skipped {
+		if skip {
+			sent--
 		}
 	}
-	e.Traffic.GatherBytes += sent * frac
+	e.Traffic.GatherBytes += 4 * sent * t2 * (ng - 1) / ng
 }
 
 // fpropDomain runs the distributed forward dot products for one cluster
@@ -265,23 +263,7 @@ func (e *Engine) fpropDomain(xd *winograd.Domain) *winograd.Domain {
 // Fprop runs the exact distributed forward pass and returns the spatial
 // output (no activation), concatenated over cluster shards in batch order.
 func (e *Engine) Fprop(x *tensor.Tensor) (*tensor.Tensor, error) {
-	bounds, err := e.shardBounds(x.N)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(x.N, e.P.Out, e.P.OutH(), e.P.OutW())
-	e.lastX = e.lastX[:0]
-	for _, b := range bounds {
-		xs := shard(x, b[0], b[1])
-		xd := e.tiling.TransformInput(xs)
-		e.countScatter(xd)
-		e.lastX = append(e.lastX, xd)
-		yd := e.fpropDomain(xd)
-		e.countGather(yd, nil)
-		ys := e.tiling.InverseOutput(yd)
-		copyShardOut(out, ys, b[0])
-	}
-	return out, nil
+	return e.forward(x, false)
 }
 
 // FpropReLU runs the forward pass with ReLU applied, using activation
@@ -289,37 +271,54 @@ func (e *Engine) Fprop(x *tensor.Tensor) (*tensor.Tensor, error) {
 // all-non-activated. The output is bit-exact with ReLU(Fprop(x)) because
 // the predictor never produces false negatives.
 func (e *Engine) FpropReLU(x *tensor.Tensor) (*tensor.Tensor, error) {
+	return e.forward(x, true)
+}
+
+// forward is Fprop, or FpropReLU when relu is set. Each cluster's input
+// domain is cached in lastX for UpdateGrad, in the storage the previous
+// pass cached when the shard size is unchanged, and each shard's output
+// is inverse-transformed straight into its image range of the result.
+func (e *Engine) forward(x *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
 	bounds, err := e.shardBounds(x.N)
 	if err != nil {
 		return nil, err
 	}
+	sc := e.scratch()
 	out := tensor.New(x.N, e.P.Out, e.P.OutH(), e.P.OutW())
-	e.lastX = e.lastX[:0]
-	for _, b := range bounds {
+	if len(e.lastX) != len(bounds) {
+		e.lastX = make([]*winograd.Domain, len(bounds))
+	}
+	for c, b := range bounds {
 		xs := shard(x, b[0], b[1])
-		xd := e.tiling.TransformInput(xs)
+		xd := e.lastX[c]
+		if xd == nil || xd.B != xs.N {
+			xd = winograd.NewDomain(e.tiling, xs.N, xs.C)
+			e.lastX[c] = xd
+		}
+		e.tiling.TransformInputInto(xd, xs, sc)
 		e.countScatter(xd)
-		e.lastX = append(e.lastX, xd)
 		yd := e.fpropDomain(xd)
 
-		var skipped map[[2]int]bool
-		if e.Cfg.Predict {
+		var skipped []bool
+		if relu && e.Cfg.Predict {
 			e.calibrate(yd)
 			skipped = e.predictSkips(yd)
 		}
 		e.countGather(yd, skipped)
 
-		ys := e.tiling.InverseOutput(yd)
-		// ReLU; skipped tiles are provably non-activated so their zeros
-		// are already correct (InverseOutput computed them, but a real
-		// system would not have gathered them — the traffic counter above
-		// reflects that).
-		for i, v := range ys.Data {
-			if v < 0 {
-				ys.Data[i] = 0
+		ys := shard(out, b[0], b[1])
+		e.tiling.InverseOutputInto(ys, yd, sc)
+		if relu {
+			// Skipped tiles are provably non-activated, so their zeros are
+			// already correct (InverseOutput computed them, but a real
+			// system would not have gathered them — the traffic counter
+			// above reflects that).
+			for i, v := range ys.Data {
+				if v < 0 {
+					ys.Data[i] = 0
+				}
 			}
 		}
-		copyShardOut(out, ys, b[0])
 	}
 	return out, nil
 }
@@ -327,7 +326,7 @@ func (e *Engine) FpropReLU(x *tensor.Tensor) (*tensor.Tensor, error) {
 // calibrate re-derives the quantizer step from the observed Winograd-
 // domain distribution (the paper profiles per layer and precomputes Δ).
 func (e *Engine) calibrate(yd *winograd.Domain) {
-	var sample []float32
+	sample := make([]float32, 0, len(yd.El)*len(yd.El[0].Data))
 	for _, el := range yd.El {
 		sample = append(sample, el.Data...)
 	}
@@ -336,37 +335,35 @@ func (e *Engine) calibrate(yd *winograd.Domain) {
 	e.predictor = quant.NewPredictor(e.Tr, e.quantizer)
 }
 
-// predictSkips returns the (row, channel) tile positions whose gathering
-// is skipped, tallying prediction statistics. When each group holds whole
-// tile lines, the tighter 1-D predictor runs (source-side first inverse
-// stage); a tile is skipped when every line is provably non-activated.
-func (e *Engine) predictSkips(yd *winograd.Domain) map[[2]int]bool {
-	skipped := make(map[[2]int]bool)
+// predictSkips returns the tiles whose gathering is skipped, as a dense
+// set indexed r·C+c over (row, channel) tile positions, tallying
+// prediction statistics. When each group holds whole tile lines, the
+// tighter 1-D predictor runs (source-side first inverse stage); a tile is
+// skipped when every line is provably non-activated.
+func (e *Engine) predictSkips(yd *winograd.Domain) []bool {
+	skipped := make([]bool, yd.Rows()*yd.C)
 	tile := tensor.NewMat(e.Tr.T, e.Tr.T)
-	rows := yd.Rows()
 	oneD := winograd.HoldsWholeLines(e.Tr.T, e.Cfg.Ng)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < yd.C; c++ {
-			for el := range yd.El {
-				tile.Data[el] = yd.El[el].At(r, c)
-			}
-			e.Traffic.TotalTiles++
-			skip := false
-			if oneD {
-				skip = true
-				for _, live := range e.predictor.Predict1D(tile).NonActivatedRows() {
-					if !live {
-						skip = false
-						break
-					}
+	for i := range skipped {
+		for el := range yd.El {
+			tile.Data[el] = yd.El[el].Data[i]
+		}
+		e.Traffic.TotalTiles++
+		skip := false
+		if oneD {
+			skip = true
+			for _, live := range e.predictor.Predict1D(tile).NonActivatedRows() {
+				if !live {
+					skip = false
+					break
 				}
-			} else {
-				skip = e.predictor.Predict2D(tile).NonActivated()
 			}
-			if skip {
-				skipped[[2]int{r, c}] = true
-				e.Traffic.SkippedTiles++
-			}
+		} else {
+			skip = e.predictor.Predict2D(tile).NonActivated()
+		}
+		if skip {
+			skipped[i] = true
+			e.Traffic.SkippedTiles++
 		}
 	}
 	return skipped
@@ -376,34 +373,8 @@ func (e *Engine) predictSkips(yd *winograd.Domain) map[[2]int]bool {
 // gradient is scattered (dY elements to groups), each group multiplies by
 // its own Wᵀ, and dX is gathered for the inverse transform.
 func (e *Engine) Bprop(dy *tensor.Tensor) (*tensor.Tensor, error) {
-	bounds, err := e.shardBounds(dy.N)
-	if err != nil {
-		return nil, err
-	}
-	dx := tensor.New(dy.N, e.P.In, e.P.H, e.P.W)
-	for _, b := range bounds {
-		dys := shard(dy, b[0], b[1])
-		dyd := e.tiling.TransformOutputGrad(dys)
-		e.countScatter(dyd)
-		dxd := winograd.NewDomain(e.tiling, dyd.B, e.W.In)
-		for g := 0; g < e.Cfg.Ng; g++ {
-			winograd.MulBackwardInto(dxd, dyd, e.W, e.groupEls[g], e.scratch())
-		}
-		e.countGather(dxd, nil)
-		dxs := e.tiling.InverseInputGrad(dxd)
-		copyShardIn(dx, dxs, b[0])
-	}
-	return dx, nil
-}
-
-func copyShardOut(dst, src *tensor.Tensor, atImage int) {
-	stride := dst.C * dst.H * dst.W
-	copy(dst.Data[atImage*stride:], src.Data)
-}
-
-func copyShardIn(dst, src *tensor.Tensor, atImage int) {
-	stride := dst.C * dst.H * dst.W
-	copy(dst.Data[atImage*stride:], src.Data)
+	_, dx, err := e.backward(dy, false, true)
+	return dx, err
 }
 
 // UpdateGrad computes the Winograd-domain weight gradient distributed
@@ -413,33 +384,68 @@ func copyShardIn(dst, src *tensor.Tensor, atImage int) {
 // through ndp.ReduceBlock (Fig. 13(c)), and the reduced result is
 // broadcast back. Fprop (or FpropReLU) must run first.
 func (e *Engine) UpdateGrad(dy *tensor.Tensor) (*winograd.Weights, error) {
-	if len(e.lastX) != e.Cfg.Nc {
-		return nil, fmt.Errorf("mpt: UpdateGrad before Fprop (have %d cached shards, want %d)",
+	dw, _, err := e.backward(dy, true, false)
+	return dw, err
+}
+
+// Backward is UpdateGrad and Bprop from one output gradient: each
+// cluster's dY shard is transformed once and feeds both the weight-
+// gradient and the bprop products. Weights, dx and traffic equal those of
+// UpdateGrad followed by Bprop. Fprop (or FpropReLU) must run first.
+func (e *Engine) Backward(dy *tensor.Tensor) (*winograd.Weights, *tensor.Tensor, error) {
+	return e.backward(dy, true, true)
+}
+
+// backward runs the per-cluster backward work for dy: the weight gradient
+// when wantDW is set, dx when wantDX is set.
+func (e *Engine) backward(dy *tensor.Tensor, wantDW, wantDX bool) (*winograd.Weights, *tensor.Tensor, error) {
+	if wantDW && len(e.lastX) != e.Cfg.Nc {
+		return nil, nil, fmt.Errorf("mpt: UpdateGrad before Fprop (have %d cached shards, want %d)",
 			len(e.lastX), e.Cfg.Nc)
 	}
 	bounds, err := e.shardBounds(dy.N)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Per-cluster partial gradients.
-	partials := make([]*winograd.Weights, e.Cfg.Nc)
+	sc := e.scratch()
+	var dx *tensor.Tensor
+	if wantDX {
+		dx = tensor.New(dy.N, e.P.In, e.P.H, e.P.W)
+	}
+	partials := make([]*winograd.Weights, 0, len(bounds))
 	for c, b := range bounds {
 		dys := shard(dy, b[0], b[1])
-		dyd := e.tiling.TransformOutputGrad(dys)
-		dw := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
-		for g := 0; g < e.Cfg.Ng; g++ {
-			winograd.MulGradInto(dw, e.lastX[c], dyd, e.groupEls[g], e.scratch())
+		dyd := winograd.NewDomain(e.tiling, dys.N, dys.C)
+		e.tiling.TransformOutputGradInto(dyd, dys, sc)
+		if wantDW {
+			// Per-cluster partial gradient.
+			dw := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
+			for g := 0; g < e.Cfg.Ng; g++ {
+				winograd.MulGradInto(dw, e.lastX[c], dyd, e.groupEls[g], sc)
+			}
+			partials = append(partials, dw)
 		}
-		partials[c] = dw
+		if wantDX {
+			e.countScatter(dyd)
+			dxd := winograd.NewDomain(e.tiling, dyd.B, e.W.In)
+			for g := 0; g < e.Cfg.Ng; g++ {
+				winograd.MulBackwardInto(dxd, dyd, e.W, e.groupEls[g], sc)
+			}
+			e.countGather(dxd, nil)
+			e.tiling.InverseInputGradInto(shard(dx, b[0], b[1]), dxd, sc)
+		}
+	}
+	if !wantDW {
+		return nil, dx, nil
 	}
 	// Ring all-reduce per group over its element shard.
 	out := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
 	for g := 0; g < e.Cfg.Ng; g++ {
 		if err := e.ringAllReduce(partials, e.groupEls[g], out); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return out, dx, nil
 }
 
 // ringAllReduce reduces the named elements of the per-cluster partials

@@ -216,49 +216,46 @@ func TestFpropReLUWithPredictionExact(t *testing.T) {
 
 // TestTrafficMatchesCommModel: the engine's measured byte counters must
 // match the closed-form model of internal/comm (which the paper's
-// analysis and our simulator both rely on).
+// analysis and our simulator both rely on): tile scatter and gather
+// exactly, at every group count including those that do not divide the
+// 4-byte value size.
 func TestTrafficMatchesCommModel(t *testing.T) {
-	cfg := Config{Ng: 4, Nc: 4}
-	e, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(31))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const batch = 8
 	rng := tensor.NewRNG(37)
 	x := tensor.New(batch, testP.In, testP.H, testP.W)
 	dy := tensor.New(batch, testP.Out, testP.OutH(), testP.OutW())
 	rng.FillNormal(x, 0, 1)
 	rng.FillNormal(dy, 0, 1)
+	for _, ng := range []int{2, 4, 8, 16} {
+		cfg := Config{Ng: ng, Nc: 4}
+		e, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Fprop(x); err != nil {
+			t.Fatal(err)
+		}
+		// Scatter of X across the whole system: |Tiles_in|·(Ng−1)/Ng.
+		inTiles := comm.TileBytes(winograd.F2x2_3x3, testP, batch, testP.In)
+		if want := inTiles * int64(ng-1) / int64(ng); e.Traffic.ScatterBytes != want {
+			t.Errorf("Ng=%d: scatter bytes %d vs model %d", ng, e.Traffic.ScatterBytes, want)
+		}
+		outTiles := comm.TileBytes(winograd.F2x2_3x3, testP, batch, testP.Out)
+		if want := outTiles * int64(ng-1) / int64(ng); e.Traffic.GatherBytes != want {
+			t.Errorf("Ng=%d: gather bytes %d vs model %d", ng, e.Traffic.GatherBytes, want)
+		}
 
-	if _, err := e.Fprop(x); err != nil {
-		t.Fatal(err)
-	}
-	// Scatter of X across the whole system: |Tiles_in|·(Ng−1)/Ng.
-	inTiles := comm.TileBytes(winograd.F2x2_3x3, testP, batch, testP.In)
-	wantScatter := inTiles * int64(cfg.Ng-1) / int64(cfg.Ng)
-	if diff := relDiff(e.Traffic.ScatterBytes, wantScatter); diff > 0.01 {
-		t.Fatalf("scatter bytes %d vs model %d", e.Traffic.ScatterBytes, wantScatter)
-	}
-	outTiles := comm.TileBytes(winograd.F2x2_3x3, testP, batch, testP.Out)
-	wantGather := outTiles * int64(cfg.Ng-1) / int64(cfg.Ng)
-	if diff := relDiff(e.Traffic.GatherBytes, wantGather); diff > 0.01 {
-		t.Fatalf("gather bytes %d vs model %d", e.Traffic.GatherBytes, wantGather)
-	}
-
-	// Collective: system total = 2 × Ng·Nc × per-worker one-way volume.
-	e.ResetTraffic()
-	if _, err := e.Fprop(x); err != nil {
-		t.Fatal(err)
-	}
-	e.ResetTraffic() // isolate the collective
-	if _, err := e.UpdateGrad(dy); err != nil {
-		t.Fatal(err)
-	}
-	perWorker := comm.RingCollectivePerWorker(
-		comm.WinogradWeightBytes(winograd.F2x2_3x3, testP)/int64(cfg.Ng), cfg.Nc)
-	want := 2 * perWorker * int64(cfg.Ng*cfg.Nc)
-	if diff := relDiff(e.Traffic.CollectiveBytes, want); diff > 0.02 {
-		t.Fatalf("collective bytes %d vs model %d", e.Traffic.CollectiveBytes, want)
+		// Collective: system total = 2 × Ng·Nc × per-worker one-way volume.
+		e.ResetTraffic() // isolate the collective
+		if _, err := e.UpdateGrad(dy); err != nil {
+			t.Fatal(err)
+		}
+		perWorker := comm.RingCollectivePerWorker(
+			comm.WinogradWeightBytes(winograd.F2x2_3x3, testP)/int64(ng), cfg.Nc)
+		want := 2 * perWorker * int64(ng*cfg.Nc)
+		if diff := relDiff(e.Traffic.CollectiveBytes, want); diff > 0.02 {
+			t.Errorf("Ng=%d: collective bytes %d vs model %d", ng, e.Traffic.CollectiveBytes, want)
+		}
 	}
 }
 
@@ -375,5 +372,105 @@ func TestFpropReLU1DPredictionExact(t *testing.T) {
 	skip16 := float64(pred16.Traffic.SkippedTiles) / float64(pred16.Traffic.TotalTiles)
 	if skip4 < skip16 {
 		t.Fatalf("1-D skip ratio %v below 2-D %v (1-D should be tighter)", skip4, skip16)
+	}
+}
+
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEngineCallsLeaveInputsUnchanged: cluster shards are views on the
+// caller's tensors, so no engine call may write through them.
+func TestEngineCallsLeaveInputsUnchanged(t *testing.T) {
+	rng := tensor.NewRNG(43)
+	x := tensor.New(8, testP.In, testP.H, testP.W)
+	dy := tensor.New(8, testP.Out, testP.OutH(), testP.OutW())
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(dy, 0, 1)
+	x0, dy0 := x.Clone(), dy.Clone()
+	for _, cfg := range []Config{
+		{Ng: 1, Nc: 1}, {Ng: 4, Nc: 4, ZeroSkip: true}, {Ng: 16, Nc: 2, Predict: true},
+		{Ng: 4, Nc: 3, Speeds: []float64{1, 0.5, 0.8}},
+	} {
+		e, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := []struct {
+			name string
+			run  func() error
+		}{
+			{"Fprop", func() error { _, err := e.Fprop(x); return err }},
+			{"FpropReLU", func() error { _, err := e.FpropReLU(x); return err }},
+			{"UpdateGrad", func() error { _, err := e.UpdateGrad(dy); return err }},
+			{"Bprop", func() error { _, err := e.Bprop(dy); return err }},
+			{"Backward", func() error { _, _, err := e.Backward(dy); return err }},
+		}
+		for _, c := range calls {
+			if err := c.run(); err != nil {
+				t.Fatalf("cfg %+v %s: %v", cfg, c.name, err)
+			}
+			if !sameBits(x.Data, x0.Data) || !sameBits(dy.Data, dy0.Data) {
+				t.Fatalf("cfg %+v: %s wrote to its input", cfg, c.name)
+			}
+		}
+	}
+}
+
+// TestBackwardMatchesUpdateGradThenBprop: the shared-dY backward gives the
+// same weight gradient, dx and traffic as the two separate calls.
+func TestBackwardMatchesUpdateGradThenBprop(t *testing.T) {
+	rng := tensor.NewRNG(47)
+	x := tensor.New(8, testP.In, testP.H, testP.W)
+	dy := tensor.New(8, testP.Out, testP.OutH(), testP.OutW())
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(dy, 0, 1)
+	for _, cfg := range []Config{
+		{Ng: 1, Nc: 1}, {Ng: 4, Nc: 4, ZeroSkip: true}, {Ng: 16, Nc: 2}, {Ng: 8, Nc: 3},
+	} {
+		sep, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []*Engine{sep, shared} {
+			if _, err := e.Fprop(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantDW, err := sep.UpdateGrad(dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDX, err := sep.Bprop(dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotDW, gotDX, err := shared.Backward(dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for el := range wantDW.El {
+			if !sameBits(gotDW.El[el].Data, wantDW.El[el].Data) {
+				t.Fatalf("cfg %+v: dW element %d differs", cfg, el)
+			}
+		}
+		if !sameBits(gotDX.Data, wantDX.Data) {
+			t.Fatalf("cfg %+v: dx differs", cfg)
+		}
+		if shared.Traffic != sep.Traffic {
+			t.Fatalf("cfg %+v: traffic %+v, want %+v", cfg, shared.Traffic, sep.Traffic)
+		}
 	}
 }

@@ -112,27 +112,27 @@ func (n *Net) Backward(dy *tensor.Tensor, lr float32) error {
 	if len(n.masks) != len(n.Engines)-1 {
 		return fmt.Errorf("mpt: Backward before Forward")
 	}
-	for i := len(n.Engines) - 1; i >= 0; i-- {
+	// Hidden layers transform each dY once for both the weight gradient
+	// and dx; the first layer needs no dx.
+	for i := len(n.Engines) - 1; i > 0; i-- {
 		e := n.Engines[i]
-		dw, err := e.UpdateGrad(dy)
+		dw, dx, err := e.Backward(dy)
 		if err != nil {
 			return err
 		}
-		if i > 0 {
-			dx, err := e.Bprop(dy)
-			if err != nil {
-				return err
+		for j, live := range n.masks[i-1] {
+			if !live {
+				dx.Data[j] = 0
 			}
-			mask := n.masks[i-1]
-			for j, live := range mask {
-				if !live {
-					dx.Data[j] = 0
-				}
-			}
-			dy = dx
 		}
+		dy = dx
 		e.Step(lr, dw)
 	}
+	dw, err := n.Engines[0].UpdateGrad(dy)
+	if err != nil {
+		return err
+	}
+	n.Engines[0].Step(lr, dw)
 	n.masks = n.masks[:0]
 	return nil
 }

@@ -42,6 +42,25 @@ func (d *Domain) row(b, th, tw int) int {
 	return (b*d.Tiling.TilesH+th)*d.Tiling.TilesW + tw
 }
 
+// storeLanes writes the T² elements of n lane-minor tiles into row of
+// every element matrix, channels c0..c0+n−1: channels are the contiguous
+// axis of each El[e], so every element is one run of n floats.
+func (d *Domain) storeLanes(src []float32, n, row, c0 int) {
+	off := row*d.C + c0
+	for e, el := range d.El {
+		copy(el.Data[off:off+n], src[e*n:e*n+n])
+	}
+}
+
+// loadLanes is the inverse of storeLanes: it reads channels c0..c0+n−1 of
+// row into n lane-minor tiles.
+func (d *Domain) loadLanes(dst []float32, n, row, c0 int) {
+	off := row*d.C + c0
+	for e, el := range d.El {
+		copy(dst[e*n:e*n+n], el.Data[off:off+n])
+	}
+}
+
 // TransformInput lifts a spatial input tensor x (B,C,H,W matching the
 // tiling's layer geometry) into the Winograd domain: X = Bᵀ·x·B per tile.
 func (tl *Tiling) TransformInput(x *tensor.Tensor) *Domain {
@@ -57,39 +76,7 @@ func (tl *Tiling) TransformInputInto(d *Domain, x *tensor.Tensor, sc *Scratch) {
 		panic(fmt.Sprintf("winograd: input shape %s does not match layer I=%d %dx%d",
 			x.ShapeString(), tl.P.In, tl.P.H, tl.P.W))
 	}
-	// Images are independent tile batches: fan them out. Each (b, c, tile)
-	// writes a distinct (row, c) slot of every element matrix, so the
-	// parallel result is bit-identical to the sequential loop.
-	if sc.Workers() == 1 {
-		for b := 0; b < x.N; b++ {
-			tl.transformInputItem(d, x, sc.slot(0), b)
-		}
-		return
-	}
-	parallel.ForEachWorker(sc.Workers(), x.N, func(w, b int) {
-		tl.transformInputItem(d, x, sc.slot(w), b)
-	})
-}
-
-func (tl *Tiling) transformInputItem(d *Domain, x *tensor.Tensor, sl *scratchSlot, b int) {
-	t := tl.Tr.T
-	a := &sl.arena
-	a.Reset()
-	patch := a.Mat(t, t)
-	w := a.Mat(t, t)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < x.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				tl.ExtractInputTile(patch, x, b, c, th, tw)
-				tl.Tr.InputToWinogradInto(w, patch, tmp)
-				row := d.row(b, th, tw)
-				for e, v := range w.Data {
-					d.El[e].Set(row, c, v)
-				}
-			}
-		}
-	}
+	tl.lift(d, x, tl.ops.bt, tl.Tr.T, tl.P.Pad, sc)
 }
 
 // TransformOutputGrad lifts a spatial output-gradient tensor dy into the
@@ -108,36 +95,7 @@ func (tl *Tiling) TransformOutputGradInto(d *Domain, dy *tensor.Tensor, sc *Scra
 		panic(fmt.Sprintf("winograd: dy shape %s does not match output %dx%d",
 			dy.ShapeString(), tl.P.OutH(), tl.P.OutW()))
 	}
-	if sc.Workers() == 1 {
-		for b := 0; b < dy.N; b++ {
-			tl.transformOutputGradItem(d, dy, sc.slot(0), b)
-		}
-		return
-	}
-	parallel.ForEachWorker(sc.Workers(), dy.N, func(w, b int) {
-		tl.transformOutputGradItem(d, dy, sc.slot(w), b)
-	})
-}
-
-func (tl *Tiling) transformOutputGradItem(d *Domain, dy *tensor.Tensor, sl *scratchSlot, b int) {
-	m := tl.Tr.M
-	a := &sl.arena
-	a.Reset()
-	patch := a.Mat(m, m)
-	w := a.Mat(tl.Tr.T, tl.Tr.T)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < dy.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				tl.ExtractOutputTile(patch, dy, b, c, th, tw)
-				tl.Tr.OutputToWinogradInto(w, patch, tmp)
-				row := d.row(b, th, tw)
-				for e, v := range w.Data {
-					d.El[e].Set(row, c, v)
-				}
-			}
-		}
-	}
+	tl.lift(d, dy, tl.ops.a, tl.Tr.M, 0, sc)
 }
 
 // InverseOutput gathers a Winograd-domain output y-Domain into the spatial
@@ -152,38 +110,7 @@ func (tl *Tiling) InverseOutput(d *Domain) *tensor.Tensor {
 // InverseOutputInto is InverseOutput into a caller-owned output tensor
 // with caller-owned scratch.
 func (tl *Tiling) InverseOutputInto(y *tensor.Tensor, d *Domain, sc *Scratch) {
-	// Output tiles never overlap and images own disjoint y regions, so the
-	// batch dimension shards freely with bit-identical results.
-	if sc.Workers() == 1 {
-		for b := 0; b < d.B; b++ {
-			tl.inverseOutputItem(y, d, sc.slot(0), b)
-		}
-		return
-	}
-	parallel.ForEachWorker(sc.Workers(), d.B, func(w, b int) {
-		tl.inverseOutputItem(y, d, sc.slot(w), b)
-	})
-}
-
-func (tl *Tiling) inverseOutputItem(y *tensor.Tensor, d *Domain, sl *scratchSlot, b int) {
-	t := tl.Tr.T
-	a := &sl.arena
-	a.Reset()
-	tile := a.Mat(t, t)
-	out := a.Mat(tl.Tr.M, tl.Tr.M)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < d.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				row := d.row(b, th, tw)
-				for e := range d.El {
-					tile.Data[e] = d.El[e].At(row, c)
-				}
-				tl.Tr.OutputFromWinogradInto(out, tile, tmp)
-				tl.ScatterOutputTile(y, out, b, c, th, tw)
-			}
-		}
-	}
+	tl.lower(y, d, tl.ops.at, tl.Tr.M, 0, false, sc)
 }
 
 // InverseInputGrad maps a Winograd-domain input-gradient Domain back to the
@@ -200,37 +127,83 @@ func (tl *Tiling) InverseInputGrad(d *Domain) *tensor.Tensor {
 // Into form has the same semantics as the allocating wrapper.
 func (tl *Tiling) InverseInputGradInto(dx *tensor.Tensor, d *Domain, sc *Scratch) {
 	dx.Zero()
-	// Overlapping tiles only accumulate within one (b, c) feature map;
-	// across images the dx regions are disjoint, and the per-image tile
-	// order is unchanged, so the accumulation order per dx slot — and with
-	// it the floating-point result — is identical to the sequential loop.
+	tl.lower(dx, d, tl.ops.b, tl.Tr.T, tl.P.Pad, true, sc)
+}
+
+// lift transforms every tile of the spatial tensor src into d as s·p·sᵀ,
+// where p is the side×side patch of tile (th, tw) at origin
+// (th·M − pad, tw·M − pad), zero outside src. Images are independent tile
+// batches, so they fan out over the scratch slots: each (image, channel,
+// tile) writes a distinct (row, c) slot of every element matrix, and the
+// parallel result is bit-identical to the sequential loop.
+func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *sched, side, pad int, sc *Scratch) {
+	if sc.Workers() == 1 {
+		for b := 0; b < src.N; b++ {
+			tl.liftImage(d, src, s, side, pad, sc.slot(0), b)
+		}
+		return
+	}
+	parallel.ForEachWorker(sc.Workers(), src.N, func(w, b int) {
+		tl.liftImage(d, src, s, side, pad, sc.slot(w), b)
+	})
+}
+
+func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *sched, side, pad int, sl *scratchSlot, b int) {
+	t, m := tl.Tr.T, tl.Tr.M
+	a := &sl.arena
+	a.Reset()
+	patch := a.Floats(side * side * lanes)
+	out := a.Floats(t * t * lanes)
+	tmp := a.Floats(t * t * lanes)
+	hw := src.H * src.W
+	for c0 := 0; c0 < src.C; c0 += lanes {
+		n := min(lanes, src.C-c0)
+		plane := src.Data[(b*src.C+c0)*hw:]
+		for th := 0; th < tl.TilesH; th++ {
+			for tw := 0; tw < tl.TilesW; tw++ {
+				gatherLanes(patch, plane, n, side, th*m-pad, tw*m-pad, src.H, src.W)
+				laneSandwich(out, s, s, patch, n, tmp)
+				d.storeLanes(out, n, d.row(b, th, tw), c0)
+			}
+		}
+	}
+}
+
+// lower is the inverse of lift: it transforms every tile of d as s·Y·sᵀ
+// into a side×side spatial tile at origin (th·M − pad, tw·M − pad) of dst,
+// accumulating overlapping tiles when add is set and storing otherwise.
+// Images own disjoint dst regions, and within an image each channel's
+// tiles are visited in the same row-major order whatever the worker
+// count, so the accumulation order per dst slot — and with it the
+// floating-point result — is identical to the sequential loop.
+func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *sched, side, pad int, add bool, sc *Scratch) {
 	if sc.Workers() == 1 {
 		for b := 0; b < d.B; b++ {
-			tl.inverseInputGradItem(dx, d, sc.slot(0), b)
+			tl.lowerImage(dst, d, s, side, pad, add, sc.slot(0), b)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), d.B, func(w, b int) {
-		tl.inverseInputGradItem(dx, d, sc.slot(w), b)
+		tl.lowerImage(dst, d, s, side, pad, add, sc.slot(w), b)
 	})
 }
 
-func (tl *Tiling) inverseInputGradItem(dx *tensor.Tensor, d *Domain, sl *scratchSlot, b int) {
-	t := tl.Tr.T
+func (tl *Tiling) lowerImage(dst *tensor.Tensor, d *Domain, s *sched, side, pad int, add bool, sl *scratchSlot, b int) {
+	t, m := tl.Tr.T, tl.Tr.M
 	a := &sl.arena
 	a.Reset()
-	tile := a.Mat(t, t)
-	out := a.Mat(t, t)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < d.C; c++ {
+	tile := a.Floats(t * t * lanes)
+	out := a.Floats(side * side * lanes)
+	tmp := a.Floats(t * t * lanes)
+	hw := dst.H * dst.W
+	for c0 := 0; c0 < d.C; c0 += lanes {
+		n := min(lanes, d.C-c0)
+		plane := dst.Data[(b*dst.C+c0)*hw:]
 		for th := 0; th < tl.TilesH; th++ {
 			for tw := 0; tw < tl.TilesW; tw++ {
-				row := d.row(b, th, tw)
-				for e := range d.El {
-					tile.Data[e] = d.El[e].At(row, c)
-				}
-				tl.Tr.InputFromWinogradInto(out, tile, tmp)
-				tl.ScatterAddInputTile(dx, out, b, c, th, tw)
+				d.loadLanes(tile, n, d.row(b, th, tw), c0)
+				laneSandwich(out, s, s, tile, n, tmp)
+				scatterLanes(plane, out, n, side, th*m-pad, tw*m-pad, dst.H, dst.W, add)
 			}
 		}
 	}
@@ -291,12 +264,16 @@ type Weights struct {
 	Tr      *Transform
 	In, Out int
 	El      []*tensor.Mat // length T²; each In×Out
+
+	// ops holds the schedules the lane loops of the weight transforms run
+	// (see Tiling.ops).
+	ops *fusedOps
 }
 
 // NewWeights allocates zero Winograd-domain weights.
 func NewWeights(tr *Transform, in, out int) *Weights {
 	t2 := tr.T * tr.T
-	w := &Weights{Tr: tr, In: in, Out: out, El: make([]*tensor.Mat, t2)}
+	w := &Weights{Tr: tr, In: in, Out: out, El: make([]*tensor.Mat, t2), ops: schedules(tr)}
 	for e := range w.El {
 		w.El[e] = tensor.NewMat(in, out)
 	}
@@ -312,38 +289,45 @@ func TransformWeights(tr *Transform, w *tensor.Tensor) *Weights {
 }
 
 // TransformWeightsInto is TransformWeights into caller-owned Weights with
-// caller-owned scratch.
+// caller-owned scratch. tr must be the transform ww was built for.
 func TransformWeightsInto(ww *Weights, tr *Transform, w *tensor.Tensor, sc *Scratch) {
-	if w.H != tr.R || w.W != tr.R {
-		panic(fmt.Sprintf("winograd: weight shape %s does not match transform %s", w.ShapeString(), tr))
+	if w.H != tr.R || w.W != tr.R || ww.Tr != tr {
+		panic(fmt.Sprintf("winograd: weight shape %s does not match transform %s of %s weights",
+			w.ShapeString(), tr, ww.Tr))
 	}
-	// Each (i, j) filter writes its own column slot in every element matrix.
+	// Filters run lanes output channels j at a time (the contiguous axis
+	// of every element matrix); each block writes its own column run.
+	blocks := (w.N + lanes - 1) / lanes
 	if sc.Workers() == 1 {
-		for j := 0; j < w.N; j++ {
-			transformWeightsItem(ww, tr, w, sc.slot(0), j)
+		for jb := 0; jb < blocks; jb++ {
+			ww.fromSpatialItem(w, sc.slot(0), jb*lanes)
 		}
 		return
 	}
-	parallel.ForEachWorker(sc.Workers(), w.N, func(wk, j int) {
-		transformWeightsItem(ww, tr, w, sc.slot(wk), j)
+	parallel.ForEachWorker(sc.Workers(), blocks, func(wk, jb int) {
+		ww.fromSpatialItem(w, sc.slot(wk), jb*lanes)
 	})
 }
 
-func transformWeightsItem(ww *Weights, tr *Transform, w *tensor.Tensor, sl *scratchSlot, j int) {
+// fromSpatialItem transforms the filters of output channels j0.. (up to
+// lanes of them) for every input channel.
+func (ww *Weights) fromSpatialItem(w *tensor.Tensor, sl *scratchSlot, j0 int) {
+	tr, s := ww.Tr, ww.ops.g
+	n, rr := min(lanes, w.N-j0), tr.R*tr.R
 	a := &sl.arena
 	a.Reset()
-	f := a.Mat(tr.R, tr.R)
-	wd := a.Mat(tr.T, tr.T)
-	tmp := a.Floats(tr.TmpLen())
+	f := a.Floats(rr * lanes)
+	wd := a.Floats(tr.T * tr.T * lanes)
+	tmp := a.Floats(tr.T * tr.R * lanes)
 	for i := 0; i < w.C; i++ {
-		for kh := 0; kh < tr.R; kh++ {
-			for kw := 0; kw < tr.R; kw++ {
-				f.Set(kh, kw, w.At(j, i, kh, kw))
+		for k := 0; k < rr; k++ {
+			for l := 0; l < n; l++ {
+				f[k*n+l] = w.Data[((j0+l)*w.C+i)*rr+k]
 			}
 		}
-		tr.FilterToWinogradInto(wd, f, tmp)
-		for e, v := range wd.Data {
-			ww.El[e].Set(i, j, v)
+		laneSandwich(wd, s, s, f, n, tmp)
+		for e, el := range ww.El {
+			copy(el.Data[i*ww.Out+j0:i*ww.Out+j0+n], wd[e*n:e*n+n])
 		}
 	}
 }
@@ -360,32 +344,36 @@ func (w *Weights) ToSpatialGrad() *tensor.Tensor {
 // ToSpatialGradInto is ToSpatialGrad into a caller-owned tensor with
 // caller-owned scratch.
 func (w *Weights) ToSpatialGradInto(out *tensor.Tensor, sc *Scratch) {
+	blocks := (w.Out + lanes - 1) / lanes
 	if sc.Workers() == 1 {
-		for j := 0; j < w.Out; j++ {
-			w.toSpatialGradItem(out, sc.slot(0), j)
+		for jb := 0; jb < blocks; jb++ {
+			w.toSpatialItem(out, sc.slot(0), jb*lanes)
 		}
 		return
 	}
-	parallel.ForEachWorker(sc.Workers(), w.Out, func(wk, j int) {
-		w.toSpatialGradItem(out, sc.slot(wk), j)
+	parallel.ForEachWorker(sc.Workers(), blocks, func(wk, jb int) {
+		w.toSpatialItem(out, sc.slot(wk), jb*lanes)
 	})
 }
 
-func (w *Weights) toSpatialGradItem(out *tensor.Tensor, sl *scratchSlot, j int) {
-	tr := w.Tr
+// toSpatialItem is the inverse of fromSpatialItem for output channels
+// j0.. (up to lanes of them).
+func (w *Weights) toSpatialItem(out *tensor.Tensor, sl *scratchSlot, j0 int) {
+	tr, s := w.Tr, w.ops.gt
+	n, rr := min(lanes, w.Out-j0), tr.R*tr.R
 	a := &sl.arena
 	a.Reset()
-	tile := a.Mat(tr.T, tr.T)
-	g := a.Mat(tr.R, tr.R)
-	tmp := a.Floats(tr.TmpLen())
+	tile := a.Floats(tr.T * tr.T * lanes)
+	g := a.Floats(rr * lanes)
+	tmp := a.Floats(tr.R * tr.T * lanes)
 	for i := 0; i < w.In; i++ {
-		for e := range w.El {
-			tile.Data[e] = w.El[e].At(i, j)
+		for e, el := range w.El {
+			copy(tile[e*n:e*n+n], el.Data[i*w.Out+j0:i*w.Out+j0+n])
 		}
-		tr.FilterFromWinogradInto(g, tile, tmp)
-		for kh := 0; kh < tr.R; kh++ {
-			for kw := 0; kw < tr.R; kw++ {
-				out.Set(j, i, kh, kw, g.At(kh, kw))
+		laneSandwich(g, s, s, tile, n, tmp)
+		for k := 0; k < rr; k++ {
+			for l := 0; l < n; l++ {
+				out.Data[((j0+l)*w.In+i)*rr+k] = g[k*n+l]
 			}
 		}
 	}

@@ -9,11 +9,9 @@ import (
 // Fused sandwich transforms. The Cook–Toom matrices B, G, A are sparse with
 // small fixed coefficients (0, ±1, ±½, … — e.g. every F(2,3) entry is one
 // of 0, ±1, ±½), so each transform L·x·R is compiled once, at MakeTransform
-// time, into a sparse per-row/per-column term schedule. The executor
-// classifies each coefficient: c = 1 becomes a fused add, c = −1 a fused
-// subtract, anything else a multiply-add — the add/sub codepaths generated
-// from the exact structure of the matrices, without the dense inner
-// products (or the two temporary matrices) of tensor.Sandwich.
+// time, into a sparse per-row/per-column term schedule, and the executor
+// (laneSandwich) accumulates only the nonzero terms — without the dense
+// inner products (or the two temporary matrices) of tensor.Sandwich.
 //
 // Bit-compatibility with tensor.Sandwich (verified in fused_test.go): the
 // schedule enumerates exactly the nonzero coefficients of L (resp. R) in
@@ -22,13 +20,15 @@ import (
 // operand, i.e. the coefficients). Stage 2's reference skips data zeros
 // instead; the sets differ only in ±0 addends, which cannot change an
 // accumulator chain that starts at +0 (x + (±0) = x, and +0 + (±0) = +0
-// under round-to-nearest). 1·v and (−1)·v are exact, and x − v is
-// bit-equal to x + (−v), so the classified codepaths round identically to
-// the reference's c·v multiply-adds.
+// under round-to-nearest). Every addend is the product c·v, rounded as in
+// the reference.
 //
 // Transforms with T beyond fusedMaxT (far past every size the paper uses)
-// skip compilation and take the allocation-free generic sandwichInto path,
-// which replicates the reference loops directly.
+// skip compilation at MakeTransform, so their per-tile Into methods take
+// the allocation-free generic sandwichInto path, which replicates the
+// reference loops directly. The Domain and weight loops always run the
+// lane executor: NewTiling and NewWeights compile the schedules themselves
+// when the transform has none.
 
 // fusedMaxT bounds the tile sizes that get compiled schedules.
 const fusedMaxT = 8
@@ -77,59 +77,95 @@ func compileFused(tr *Transform) *fusedOps {
 	}
 }
 
-// applyRow accumulates the classified terms of one schedule row into drow:
-// drow += c·x[k] for each term, with the c = ±1 fast paths.
-func applyRow(drow []float32, terms []term, x []float32, xc int) {
-	for _, t := range terms {
-		xrow := x[int(t.k)*xc : int(t.k)*xc+len(drow)]
-		switch t.c {
-		case 1:
-			for j, v := range xrow {
-				drow[j] += v
+// schedules returns tr's compiled schedules, compiling them when
+// MakeTransform did not (T > fusedMaxT, or a Transform assembled by hand).
+func schedules(tr *Transform) *fusedOps {
+	if tr.fused != nil {
+		return tr.fused
+	}
+	return compileFused(tr)
+}
+
+// lanes is the channel batch of the Domain and weight transform loops:
+// each schedule term is applied to up to this many tiles (one per channel)
+// in one pass.
+const lanes = 8
+
+// laneSandwich computes dst = L·x·R for n independent tiles ("lanes")
+// stored lane-minor: element (i, j) of lane l sits at (i·cols + j)·n + l,
+// so x is ls.cols × rts.cols × n and dst is len(ls.rows) × len(rts.rows)
+// × n. ls is the schedule of L and rts the schedule of Rᵀ; tmp must hold
+// len(ls.rows)·rts.cols·n floats for the stage-1 product L·x.
+//
+// Every lane sees exactly the float operations of a one-tile pass, in the
+// same order: each entry of L·x (stage 1) and of (L·x)·R (stage 2) starts
+// at +0 and adds c·v for its schedule terms in ascending k. Lanes never
+// mix, so a lane's result depends neither on n nor on its neighbours, and
+// n = 1 is the per-tile transform.
+func laneSandwich(dst []float32, ls, rts *sched, x []float32, n int, tmp []float32) {
+	lr, xr, xc, dc := len(ls.rows), ls.cols, rts.cols, len(rts.rows)
+	if len(x) < xr*xc*n || len(dst) < lr*dc*n || len(tmp) < lr*xc*n {
+		panic(fmt.Sprintf("winograd: lane sandwich buffers x %d, dst %d, tmp %d too small for %dx%d · %dx%d · %dx%d, %d lanes",
+			len(x), len(dst), len(tmp), lr, xr, xr, xc, xc, dc, n))
+	}
+	t1 := tmp[: lr*xc*n : lr*xc*n]
+	if n == lanes {
+		for i, terms := range ls.rows {
+			for j := 0; j < xc; j++ {
+				dotLanes((*[lanes]float32)(t1[(i*xc+j)*lanes:]), terms, x[j*lanes:], xc*lanes)
 			}
-		case -1:
-			for j, v := range xrow {
-				drow[j] -= v
+		}
+		for i := 0; i < lr; i++ {
+			for j, terms := range rts.rows {
+				dotLanes((*[lanes]float32)(dst[(i*dc+j)*lanes:]), terms, t1[i*xc*lanes:], lanes)
 			}
-		default:
-			c := t.c
-			for j, v := range xrow {
-				drow[j] += c * v
+		}
+		return
+	}
+	// Any other lane count (the per-tile transforms, channel tails): one
+	// scalar chain per entry and lane.
+	for i, terms := range ls.rows {
+		for j := 0; j < xc*n; j++ {
+			t1[i*xc*n+j] = dot1(terms, x[j:], xc*n)
+		}
+	}
+	for i := 0; i < lr; i++ {
+		for j, terms := range rts.rows {
+			for l := 0; l < n; l++ {
+				dst[(i*dc+j)*n+l] = dot1(terms, t1[i*xc*n+l:], n)
 			}
 		}
 	}
 }
 
-// fusedSandwichInto computes dst = L·x·R where ls is the schedule of L and
-// rts the schedule of Rᵀ. tmp must hold at least len(ls.rows)·x.Cols
-// floats; it carries the stage-1 product L·x.
-func fusedSandwichInto(dst *tensor.Mat, ls, rts *sched, x *tensor.Mat, tmp []float32) {
-	lr, xc := len(ls.rows), x.Cols
-	if x.Rows != ls.cols || dst.Rows != lr || dst.Cols != len(rts.rows) || rts.cols != xc {
-		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, L %dx%d, x %dx%d, Rᵀ %dx%d",
-			dst.Rows, dst.Cols, lr, ls.cols, x.Rows, x.Cols, len(rts.rows), rts.cols))
+// dot1 returns Σ c·src[k·stride] over terms, starting at +0 and adding in
+// term order.
+func dot1(terms []term, src []float32, stride int) float32 {
+	var acc float32
+	for _, t := range terms {
+		acc += t.c * src[int(t.k)*stride]
 	}
-	t1 := tmp[: lr*xc : lr*xc]
-	for i := range t1 {
-		t1[i] = 0
+	return acc
+}
+
+// dotLanes sets d = Σ c·src[k·stride : k·stride+lanes] over terms, lane by
+// lane, each lane's sum starting at +0 and adding in term order. The
+// accumulators stay in registers across the terms.
+func dotLanes(d *[lanes]float32, terms []term, src []float32, stride int) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float32
+	for _, t := range terms {
+		s := (*[lanes]float32)(src[int(t.k)*stride:])
+		c := t.c
+		a0 += c * s[0]
+		a1 += c * s[1]
+		a2 += c * s[2]
+		a3 += c * s[3]
+		a4 += c * s[4]
+		a5 += c * s[5]
+		a6 += c * s[6]
+		a7 += c * s[7]
 	}
-	for i, terms := range ls.rows {
-		applyRow(t1[i*xc:i*xc+xc], terms, x.Data, xc)
-	}
-	for i := 0; i < lr; i++ {
-		row := t1[i*xc : i*xc+xc]
-		drow := dst.Data[i*dst.Cols : i*dst.Cols+dst.Cols]
-		for j, terms := range rts.rows {
-			var acc float32
-			for _, t := range terms {
-				// c·v is exact for c = ±1, so the single multiply-add path
-				// rounds identically to dedicated add/sub branches while
-				// keeping the inner loop branch-free.
-				acc += t.c * row[t.k]
-			}
-			drow[j] = acc
-		}
-	}
+	*d = [lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
 // sandwichInto is the generic allocation-free fallback: dst = l·x·r with
@@ -181,13 +217,18 @@ func (tr *Transform) TmpLen() int { return tr.T * tr.T }
 
 // sandwich dispatches one transform step. Every transform here has the
 // form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
-// fused path; l/x/r feed the generic fallback when s is nil.
+// lane executor, run with one lane; l/x/r feed the generic fallback when
+// s is nil.
 func (tr *Transform) sandwich(dst *tensor.Mat, s *sched, l, x, r *tensor.Mat, tmp []float32) {
-	if s != nil {
-		fusedSandwichInto(dst, s, s, x, tmp)
+	if s == nil {
+		sandwichInto(dst, l, x, r, tmp)
 		return
 	}
-	sandwichInto(dst, l, x, r, tmp)
+	if x.Rows != s.cols || x.Cols != s.cols || dst.Rows != len(s.rows) || dst.Cols != len(s.rows) {
+		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, S %dx%d, x %dx%d",
+			dst.Rows, dst.Cols, len(s.rows), s.cols, x.Rows, x.Cols))
+	}
+	laneSandwich(dst.Data, s, s, x.Data, 1, tmp)
 }
 
 // FilterToWinogradInto computes dst = G·w·Gᵀ (shape T×T) without

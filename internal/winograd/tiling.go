@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mptwino/internal/conv"
-	"mptwino/internal/tensor"
 )
 
 // Tiling decomposes a convolution layer's feature maps into the overlapping
@@ -16,6 +15,11 @@ type Tiling struct {
 	P  conv.Params
 
 	TilesH, TilesW int // tile grid dimensions
+
+	// ops holds the compiled schedules the lane loops run: Tr's own when
+	// MakeTransform compiled them, otherwise compiled here, so every
+	// Domain transform takes the lane executor.
+	ops *fusedOps
 }
 
 // NewTiling validates the layer geometry against the transform and returns
@@ -33,95 +37,71 @@ func NewTiling(tr *Transform, p conv.Params) (*Tiling, error) {
 		P:      p,
 		TilesH: (p.OutH() + m - 1) / m,
 		TilesW: (p.OutW() + m - 1) / m,
+		ops:    schedules(tr),
 	}, nil
 }
 
 // Tiles returns the number of tiles per feature map (the paper's t).
 func (tl *Tiling) Tiles() int { return tl.TilesH * tl.TilesW }
 
-// tileOrigin returns the top-left input coordinate (possibly negative, in
-// the padding) covered by tile (th, tw).
-func (tl *Tiling) tileOrigin(th, tw int) (ih, iw int) {
-	return th*tl.Tr.M - tl.P.Pad, tw*tl.Tr.M - tl.P.Pad
-}
+// The lane loops move n ≤ lanes channels of one tile at a time between
+// NCHW data and a lane-minor tile buffer (element (r, c) of lane l at
+// (r·side + c)·n + l). plane is the data from the first of the n channels
+// onward, so lane l of position (h, w) is plane[l·H·W + h·W + w].
 
-// ExtractInputTile copies the T×T input patch for tile (th,tw) of image b,
-// channel c, into dst (a T×T matrix), zero-filling taps that fall in the
-// padding.
-func (tl *Tiling) ExtractInputTile(dst *tensor.Mat, x *tensor.Tensor, b, c, th, tw int) {
-	t := tl.Tr.T
-	oh, ow := tl.tileOrigin(th, tw)
-	for r := 0; r < t; r++ {
+// gatherLanes copies the side×side patches at origin (oh, ow) of n h×w
+// channel planes into dst, zero-filling positions outside the plane (the
+// layer's padding, partial tiles at the bottom and right edges).
+func gatherLanes(dst, plane []float32, n, side, oh, ow, h, w int) {
+	hw := h * w
+	for r := 0; r < side; r++ {
 		ih := oh + r
-		for cc := 0; cc < t; cc++ {
-			iw := ow + cc
-			var v float32
-			if ih >= 0 && ih < tl.P.H && iw >= 0 && iw < tl.P.W {
-				v = x.At(b, c, ih, iw)
-			}
-			dst.Set(r, cc, v)
-		}
-	}
-}
-
-// ScatterAddInputTile accumulates a T×T spatial-domain tile (e.g. a dx
-// contribution from bprop) back into x at tile (th,tw), skipping padding
-// positions. Overlapping tiles therefore sum, which is exactly the adjoint
-// of ExtractInputTile.
-func (tl *Tiling) ScatterAddInputTile(x *tensor.Tensor, src *tensor.Mat, b, c, th, tw int) {
-	t := tl.Tr.T
-	oh, ow := tl.tileOrigin(th, tw)
-	for r := 0; r < t; r++ {
-		ih := oh + r
-		if ih < 0 || ih >= tl.P.H {
+		drow := dst[r*side*n : (r+1)*side*n]
+		if ih < 0 || ih >= h {
+			clear(drow)
 			continue
 		}
-		for cc := 0; cc < t; cc++ {
+		for cc := 0; cc < side; cc++ {
 			iw := ow + cc
-			if iw < 0 || iw >= tl.P.W {
+			d := drow[cc*n : cc*n+n]
+			if iw < 0 || iw >= w {
+				clear(d)
 				continue
 			}
-			x.Add(b, c, ih, iw, src.At(r, cc))
+			for l := range d {
+				d[l] = plane[ih*w+iw+l*hw]
+			}
 		}
 	}
 }
 
-// ExtractOutputTile copies the m×m output patch for tile (th,tw) into dst,
-// zero-filling positions past the output boundary (tiles at the right and
-// bottom edge may be partial).
-func (tl *Tiling) ExtractOutputTile(dst *tensor.Mat, y *tensor.Tensor, b, c, th, tw int) {
-	m := tl.Tr.M
-	oh, ow := tl.P.OutH(), tl.P.OutW()
-	for r := 0; r < m; r++ {
-		yy := th*m + r
-		for cc := 0; cc < m; cc++ {
-			xx := tw*m + cc
-			var v float32
-			if yy < oh && xx < ow {
-				v = y.At(b, c, yy, xx)
-			}
-			dst.Set(r, cc, v)
+// scatterLanes stores (add = false) or accumulates (add = true) n
+// lane-minor side×side tiles into the planes at origin (oh, ow), dropping
+// positions outside the plane. Output tiles never overlap, so the inverse
+// output transform stores; input-gradient tiles overlap by r−1 and sum,
+// which is exactly the adjoint of gatherLanes.
+func scatterLanes(plane, src []float32, n, side, oh, ow, h, w int, add bool) {
+	hw := h * w
+	for r := 0; r < side; r++ {
+		ih := oh + r
+		if ih < 0 || ih >= h {
+			continue
 		}
-	}
-}
-
-// ScatterOutputTile writes an m×m output tile into y at tile (th,tw),
-// dropping positions past the output boundary. Output tiles do not
-// overlap, so this is a plain store.
-func (tl *Tiling) ScatterOutputTile(y *tensor.Tensor, src *tensor.Mat, b, c, th, tw int) {
-	m := tl.Tr.M
-	oh, ow := tl.P.OutH(), tl.P.OutW()
-	for r := 0; r < m; r++ {
-		yy := th*m + r
-		if yy >= oh {
-			break
-		}
-		for cc := 0; cc < m; cc++ {
-			xx := tw*m + cc
-			if xx >= ow {
-				break
+		for cc := 0; cc < side; cc++ {
+			iw := ow + cc
+			if iw < 0 || iw >= w {
+				continue
 			}
-			y.Set(b, c, yy, xx, src.At(r, cc))
+			p, s := ih*w+iw, src[(r*side+cc)*n:(r*side+cc+1)*n]
+			if add {
+				for l, v := range s {
+					plane[p+l*hw] += v
+				}
+			} else {
+				for l, v := range s {
+					plane[p+l*hw] = v
+				}
+			}
 		}
 	}
 }
