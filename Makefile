@@ -29,10 +29,12 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the numeric invariants: activation-predictor
-# safety, blocked-GEMM bit-identity with the naive reference, and the
-# lane-batched Domain transforms' bit-identity with the per-tile loops.
+# safety, the lane predictor's decisions against the per-tile reference,
+# blocked-GEMM bit-identity with the naive reference, and the lane-batched
+# Domain transforms' bit-identity with the per-tile loops.
 fuzz:
 	$(GO) test -fuzz=FuzzPredictorNeverUnderestimates -fuzztime=30s ./internal/quant/
+	$(GO) test -fuzz=FuzzPredictorLanesMatchPerTile -fuzztime=30s ./internal/quant/
 	$(GO) test -fuzz=FuzzBlockedGemmMatchesNaive -fuzztime=30s ./internal/tensor/
 	$(GO) test -fuzz=FuzzLaneTransformsMatchPerTile -fuzztime=30s ./internal/winograd/
 

@@ -15,6 +15,7 @@ import (
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
 	"mptwino/internal/ndp"
+	"mptwino/internal/parallel"
 	"mptwino/internal/quant"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
@@ -80,6 +81,10 @@ type Engine struct {
 
 	quantizer *quant.Quantizer
 	predictor *quant.Predictor
+	// skip is predictSkips' dense skip set and predSc its per-worker
+	// predictor scratch, both reused across calls.
+	skip   []bool
+	predSc []quant.Scratch
 
 	Traffic Traffic
 
@@ -326,43 +331,45 @@ func (e *Engine) forward(x *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
 // calibrate re-derives the quantizer step from the observed Winograd-
 // domain distribution (the paper profiles per layer and precomputes Δ).
 func (e *Engine) calibrate(yd *winograd.Domain) {
-	sample := make([]float32, 0, len(yd.El)*len(yd.El[0].Data))
-	for _, el := range yd.El {
-		sample = append(sample, el.Data...)
-	}
-	sigma := quant.EstimateSigma(sample)
-	e.quantizer = quant.MustQuantizer(e.quantizer.Regions, e.quantizer.Bits, sigma)
-	e.predictor = quant.NewPredictor(e.Tr, e.quantizer)
+	e.quantizer = quant.MustQuantizer(e.quantizer.Regions, e.quantizer.Bits, quant.DomainSigma(yd))
+	e.predictor.Q = e.quantizer
 }
+
+// predictChunk is the tile range of one parallel predictor item, a
+// multiple of the predictor's lane batch.
+const predictChunk = 1024
 
 // predictSkips returns the tiles whose gathering is skipped, as a dense
 // set indexed r·C+c over (row, channel) tile positions, tallying
 // prediction statistics. When each group holds whole tile lines, the
 // tighter 1-D predictor runs (source-side first inverse stage); a tile is
-// skipped when every line is provably non-activated.
+// skipped when every line is provably non-activated. Contiguous tile
+// ranges fan out over the workers, each writing only its own slots; the
+// tallies fold serially afterwards, so results and Traffic are identical
+// for any worker count.
 func (e *Engine) predictSkips(yd *winograd.Domain) []bool {
-	skipped := make([]bool, yd.Rows()*yd.C)
-	tile := tensor.NewMat(e.Tr.T, e.Tr.T)
+	n := yd.Rows() * yd.C
+	if cap(e.skip) < n {
+		e.skip = make([]bool, n)
+	}
+	skipped := e.skip[:n]
 	oneD := winograd.HoldsWholeLines(e.Tr.T, e.Cfg.Ng)
-	for i := range skipped {
-		for el := range yd.El {
-			tile.Data[el] = yd.El[el].Data[i]
-		}
-		e.Traffic.TotalTiles++
-		skip := false
-		if oneD {
-			skip = true
-			for _, live := range e.predictor.Predict1D(tile).NonActivatedRows() {
-				if !live {
-					skip = false
-					break
-				}
-			}
-		} else {
-			skip = e.predictor.Predict2D(tile).NonActivated()
-		}
+	workers := e.scratch().Workers()
+	if len(e.predSc) < workers {
+		e.predSc = make([]quant.Scratch, workers)
+	}
+	if workers == 1 {
+		e.predictor.DeadTiles(skipped, yd, 0, oneD, &e.predSc[0])
+	} else {
+		parallel.ForEachWorker(workers, (n+predictChunk-1)/predictChunk, func(w, k int) {
+			lo := k * predictChunk
+			hi := min(lo+predictChunk, n)
+			e.predictor.DeadTiles(skipped[lo:hi], yd, lo, oneD, &e.predSc[w])
+		})
+	}
+	e.Traffic.TotalTiles += int64(n)
+	for _, skip := range skipped {
 		if skip {
-			skipped[i] = true
 			e.Traffic.SkippedTiles++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
+	"mptwino/internal/parallel"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
 )
@@ -471,6 +472,101 @@ func TestBackwardMatchesUpdateGradThenBprop(t *testing.T) {
 		}
 		if shared.Traffic != sep.Traffic {
 			t.Fatalf("cfg %+v: traffic %+v, want %+v", cfg, shared.Traffic, sep.Traffic)
+		}
+	}
+}
+
+// TestFpropReLUPredictionDeterministicAcrossWorkers: the predictor fans
+// contiguous tile ranges out over the workers, so FpropReLU must give
+// identical output bits and an identical Traffic at every worker count —
+// with 1-D (Ng=4) and 2-D (Ng=16) prediction, on shards of several
+// predictor chunks each.
+func TestFpropReLUPredictionDeterministicAcrossWorkers(t *testing.T) {
+	p := conv.Params{In: 3, Out: 16, K: 3, Pad: 1, H: 16, W: 16}
+	x := tensor.New(8, p.In, p.H, p.W)
+	tensor.NewRNG(61).FillNormal(x, -0.6, 1)
+	for _, ng := range []int{4, 16} {
+		run := func(workers int) (*tensor.Tensor, Traffic) {
+			prev := parallel.SetDefaultWorkers(workers)
+			defer parallel.SetDefaultWorkers(prev)
+			e, err := NewEngine(winograd.F2x2_3x3, p, Config{Ng: ng, Nc: 2, Predict: true}, tensor.NewRNG(62))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var y *tensor.Tensor
+			for i := 0; i < 2; i++ { // the second pass reuses the skip set and scratch
+				if y, err = e.FpropReLU(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return y, e.Traffic
+		}
+		want, wantTraffic := run(1)
+		if wantTraffic.SkippedTiles == 0 || wantTraffic.SkippedTiles == wantTraffic.TotalTiles {
+			t.Fatalf("Ng=%d: %d of %d tiles skipped; the workload must exercise both decisions",
+				ng, wantTraffic.SkippedTiles, wantTraffic.TotalTiles)
+		}
+		if n := wantTraffic.TotalTiles / 4; n <= predictChunk {
+			t.Fatalf("Ng=%d: %d tiles per shard fit in one predictor chunk", ng, n)
+		}
+		for _, workers := range []int{2, 8} {
+			got, traffic := run(workers)
+			if !sameBits(got.Data, want.Data) {
+				t.Errorf("Ng=%d workers=%d: output bits differ from workers=1", ng, workers)
+			}
+			if traffic != wantTraffic {
+				t.Errorf("Ng=%d workers=%d: traffic %+v, workers=1 %+v", ng, workers, traffic, wantTraffic)
+			}
+		}
+	}
+}
+
+// TestFpropReLUNeverSkipsNonFiniteTiles: output tiles holding NaN or ±Inf
+// must never be skipped, and the output must still equal the run without
+// prediction bit for bit. Non-finite outputs also make the calibrated
+// sigma NaN, which must put every value of the shard out of the
+// quantizer's range rather than into it.
+func TestFpropReLUNeverSkipsNonFiniteTiles(t *testing.T) {
+	x := tensor.New(4, testP.In, testP.H, testP.W)
+	tensor.NewRNG(71).FillNormal(x, -1.5, 1)
+	x.Data[5] = float32(math.NaN())
+	x.Data[len(x.Data)/2] = float32(math.Inf(1))
+	x.Data[len(x.Data)-9] = float32(math.Inf(-1))
+	for _, ng := range []int{4, 16} {
+		plain, err := NewEngine(winograd.F2x2_3x3, testP, Config{Ng: ng, Nc: 1}, tensor.NewRNG(72))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := NewEngine(winograd.F2x2_3x3, testP, Config{Ng: ng, Nc: 1, Predict: true}, tensor.NewRNG(72))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.FpropReLU(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pred.FpropReLU(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got.Data, want.Data) {
+			t.Fatalf("Ng=%d: prediction changed the output", ng)
+		}
+		yd := pred.fpropDomain(pred.lastX[0])
+		nonFinite := 0
+		for i, skip := range pred.skip[:yd.Rows()*yd.C] {
+			for _, el := range yd.El {
+				if v := float64(el.Data[i]); math.IsNaN(v) || math.IsInf(v, 0) {
+					nonFinite++
+					if skip {
+						t.Fatalf("Ng=%d: tile %d holds %v and was skipped", ng, i, v)
+					}
+					break
+				}
+			}
+		}
+		if nonFinite == 0 {
+			t.Fatalf("Ng=%d: no output tile holds a non-finite value", ng)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func TestNoFalseNegatives(t *testing.T) {
 			}
 			p1 := p.Predict1D(tile)
 			pr := p1.NonActivatedRows()
-			truth := TrueNonActivatedRows(tr, tile)
+			truth := trueNonActivatedRows(tr, tile)
 			for i := range pr {
 				if pr[i] && !truth[i] {
 					t.Fatalf("regions=%d bits=%d: 1D false negative row %d", cfg.regions, cfg.bits, i)

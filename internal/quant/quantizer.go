@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"mptwino/internal/winograd"
 )
 
 // Quantizer is the non-uniform quantizer of Fig. 10: the value range is
@@ -80,12 +82,24 @@ func (q *Quantizer) regionOfUnits(u int) int {
 	return bits.Len(uint(u/q.StepsPerRegion+1)) - 1
 }
 
+// maxUnits bounds the magnitudes, in base steps, that quantAbsUnits
+// converts to int; every representable range ends far below it.
+const maxUnits = 1 << 62
+
 // quantAbsUnits floors a non-negative magnitude to the grid, in integer
 // base-step units: gridU is the quantized magnitude, stepU the region's
 // step size (both in units of Δ).
 func (q *Quantizer) quantAbsUnits(mag float32) (gridU, stepU int, overflow bool) {
 	s := q.StepsPerRegion
-	u := int(mag / q.Delta) // floor in base-step units
+	f := mag / q.Delta
+	// NaN, ±Inf and magnitudes far past any range overflow explicitly: Go
+	// leaves their int conversion implementation-defined (int(NaN) is
+	// MinInt64 on amd64 but 0 on arm64, which would pass NaN as in range).
+	// NaN fails every comparison, so one test covers all three.
+	if !(f < maxUnits) {
+		return s * ((1 << q.Regions) - 1), 1 << (q.Regions - 1), true
+	}
+	u := int(f) // floor in base-step units
 	region := q.regionOfUnits(u)
 	if region >= q.Regions {
 		// Clamp to the top grid point and flag overflow; the predictor must
@@ -218,17 +232,46 @@ func (q *Quantizer) Decode(code uint32) (qv, res float32) {
 // calibrate the quantizer to a layer's Winograd-domain distribution (the
 // paper precomputes log(1/Δ) per layer from profiling).
 func EstimateSigma(values []float32) float32 {
-	if len(values) == 0 {
-		return 1
+	var m moments
+	m.add(values)
+	return m.sigma()
+}
+
+// DomainSigma is EstimateSigma over every element matrix of d, in element
+// order, without copying them into one sample: the float64 sums run in the
+// same order, so the result is bit-identical to EstimateSigma of the
+// concatenated slices.
+func DomainSigma(d *winograd.Domain) float32 {
+	var m moments
+	for _, el := range d.El {
+		m.add(el.Data)
 	}
-	var sum, sumsq float64
+	return m.sigma()
+}
+
+// moments accumulates the count, sum and sum of squares of a sample.
+type moments struct {
+	n          int
+	sum, sumsq float64
+}
+
+func (m *moments) add(values []float32) {
+	sum, sumsq := m.sum, m.sumsq // in registers across the loop
 	for _, v := range values {
 		sum += float64(v)
 		sumsq += float64(v) * float64(v)
 	}
-	n := float64(len(values))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
+	m.sum, m.sumsq = sum, sumsq
+	m.n += len(values)
+}
+
+func (m *moments) sigma() float32 {
+	if m.n == 0 {
+		return 1
+	}
+	n := float64(m.n)
+	mean := m.sum / n
+	variance := m.sumsq/n - mean*mean
 	if variance <= 0 {
 		return 1e-12
 	}

@@ -55,25 +55,38 @@ func (s GatherStats) TrueLineRatio() float64 {
 // MeasureGather runs both predictors over every (tile, output channel) of a
 // Winograd-domain output Domain and tallies prediction quality. pred2D and
 // pred1D may use different quantizers (the paper uses 6-bit for 2-D and
-// 5-bit for 1-D).
+// 5-bit for 1-D). Both run on the lane executor, a lane batch at a time;
+// the oracle inverse-transforms each tile into reused scratch.
 func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 	tr := yd.Tiling.Tr
+	m := tr.M
 	var s GatherStats
+	var sc Scratch
+	sc.size(tr.T, m)
 	tile := tensor.NewMat(tr.T, tr.T)
-	rows := yd.Rows()
-	for row := 0; row < rows; row++ {
-		for c := 0; c < yd.C; c++ {
-			for e := range yd.El {
-				tile.Data[e] = yd.El[e].At(row, c)
+	out := tensor.NewMat(m, m)
+	tmp := make([]float32, tr.TmpLen())
+	var dead2D [lanes]bool
+	n := yd.Rows() * yd.C
+	for i0 := 0; i0 < n; i0 += lanes {
+		nl := min(lanes, n-i0)
+		sc.load(yd, i0, nl)
+		pred2D.run(&sc, nl, false)
+		for l := 0; l < nl; l++ {
+			dead2D[l] = sc.tileDead(m, l)
+		}
+		pred1D.run(&sc, nl, true)
+		for l := 0; l < nl; l++ {
+			for e, el := range yd.El {
+				tile.Data[e] = el.Data[i0+l]
 			}
+			tr.OutputFromWinogradInto(out, tile, tmp)
 			s.Tiles++
-
-			trueTile := TrueNonActivated(tr, tile)
+			trueTile := allNegative(out.Data)
 			if trueTile {
 				s.TrueNonActTiles++
 			}
-			p2 := pred2D.Predict2D(tile)
-			if p2.NonActivated() {
+			if dead2D[l] {
 				s.PredNonActTiles++
 				if !trueTile {
 					s.FalseNegatives++
@@ -82,18 +95,16 @@ func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 
 			// 1-D prediction skips whole source lines (rows of the
 			// Winograd-domain tile map to columns of Z; we count the m×m
-			// output's rows, whose true status the per-row oracle gives).
-			trueRows := TrueNonActivatedRows(tr, tile)
-			p1 := pred1D.Predict1D(tile)
-			predRows := p1.NonActivatedRows()
-			s.Lines += len(predRows)
-			for r := range predRows {
-				if trueRows[r] {
+			// output's rows against the oracle's rows).
+			s.Lines += m
+			for r := 0; r < m; r++ {
+				trueRow := allNegative(out.Data[r*m : r*m+m])
+				if trueRow {
 					s.TrueNonActLines++
 				}
-				if predRows[r] {
+				if sc.rowDead(m, l, r) {
 					s.PredNonActLines++
-					if !trueRows[r] {
+					if !trueRow {
 						s.FalseNegatives++
 					}
 				}

@@ -136,7 +136,7 @@ func (tl *Tiling) InverseInputGradInto(dx *tensor.Tensor, d *Domain, sc *Scratch
 // batches, so they fan out over the scratch slots: each (image, channel,
 // tile) writes a distinct (row, c) slot of every element matrix, and the
 // parallel result is bit-identical to the sequential loop.
-func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *sched, side, pad int, sc *Scratch) {
+func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *Sched, side, pad int, sc *Scratch) {
 	if sc.Workers() == 1 {
 		for b := 0; b < src.N; b++ {
 			tl.liftImage(d, src, s, side, pad, sc.slot(0), b)
@@ -148,16 +148,16 @@ func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *sched, side, pad int, s
 	})
 }
 
-func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *sched, side, pad int, sl *scratchSlot, b int) {
+func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *Sched, side, pad int, sl *scratchSlot, b int) {
 	t, m := tl.Tr.T, tl.Tr.M
 	a := &sl.arena
 	a.Reset()
-	patch := a.Floats(side * side * lanes)
-	out := a.Floats(t * t * lanes)
-	tmp := a.Floats(t * t * lanes)
+	patch := a.Floats(side * side * Lanes)
+	out := a.Floats(t * t * Lanes)
+	tmp := a.Floats(t * t * Lanes)
 	hw := src.H * src.W
-	for c0 := 0; c0 < src.C; c0 += lanes {
-		n := min(lanes, src.C-c0)
+	for c0 := 0; c0 < src.C; c0 += Lanes {
+		n := min(Lanes, src.C-c0)
 		plane := src.Data[(b*src.C+c0)*hw:]
 		for th := 0; th < tl.TilesH; th++ {
 			for tw := 0; tw < tl.TilesW; tw++ {
@@ -176,7 +176,7 @@ func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *sched, side, pad i
 // tiles are visited in the same row-major order whatever the worker
 // count, so the accumulation order per dst slot — and with it the
 // floating-point result — is identical to the sequential loop.
-func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *sched, side, pad int, add bool, sc *Scratch) {
+func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *Sched, side, pad int, add bool, sc *Scratch) {
 	if sc.Workers() == 1 {
 		for b := 0; b < d.B; b++ {
 			tl.lowerImage(dst, d, s, side, pad, add, sc.slot(0), b)
@@ -188,16 +188,16 @@ func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *sched, side, pad int, 
 	})
 }
 
-func (tl *Tiling) lowerImage(dst *tensor.Tensor, d *Domain, s *sched, side, pad int, add bool, sl *scratchSlot, b int) {
+func (tl *Tiling) lowerImage(dst *tensor.Tensor, d *Domain, s *Sched, side, pad int, add bool, sl *scratchSlot, b int) {
 	t, m := tl.Tr.T, tl.Tr.M
 	a := &sl.arena
 	a.Reset()
-	tile := a.Floats(t * t * lanes)
-	out := a.Floats(side * side * lanes)
-	tmp := a.Floats(t * t * lanes)
+	tile := a.Floats(t * t * Lanes)
+	out := a.Floats(side * side * Lanes)
+	tmp := a.Floats(t * t * Lanes)
 	hw := dst.H * dst.W
-	for c0 := 0; c0 < d.C; c0 += lanes {
-		n := min(lanes, d.C-c0)
+	for c0 := 0; c0 < d.C; c0 += Lanes {
+		n := min(Lanes, d.C-c0)
 		plane := dst.Data[(b*dst.C+c0)*hw:]
 		for th := 0; th < tl.TilesH; th++ {
 			for tw := 0; tw < tl.TilesW; tw++ {
@@ -295,30 +295,30 @@ func TransformWeightsInto(ww *Weights, tr *Transform, w *tensor.Tensor, sc *Scra
 		panic(fmt.Sprintf("winograd: weight shape %s does not match transform %s of %s weights",
 			w.ShapeString(), tr, ww.Tr))
 	}
-	// Filters run lanes output channels j at a time (the contiguous axis
+	// Filters run Lanes output channels j at a time (the contiguous axis
 	// of every element matrix); each block writes its own column run.
-	blocks := (w.N + lanes - 1) / lanes
+	blocks := (w.N + Lanes - 1) / Lanes
 	if sc.Workers() == 1 {
 		for jb := 0; jb < blocks; jb++ {
-			ww.fromSpatialItem(w, sc.slot(0), jb*lanes)
+			ww.fromSpatialItem(w, sc.slot(0), jb*Lanes)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), blocks, func(wk, jb int) {
-		ww.fromSpatialItem(w, sc.slot(wk), jb*lanes)
+		ww.fromSpatialItem(w, sc.slot(wk), jb*Lanes)
 	})
 }
 
 // fromSpatialItem transforms the filters of output channels j0.. (up to
-// lanes of them) for every input channel.
+// Lanes of them) for every input channel.
 func (ww *Weights) fromSpatialItem(w *tensor.Tensor, sl *scratchSlot, j0 int) {
 	tr, s := ww.Tr, ww.ops.g
-	n, rr := min(lanes, w.N-j0), tr.R*tr.R
+	n, rr := min(Lanes, w.N-j0), tr.R*tr.R
 	a := &sl.arena
 	a.Reset()
-	f := a.Floats(rr * lanes)
-	wd := a.Floats(tr.T * tr.T * lanes)
-	tmp := a.Floats(tr.T * tr.R * lanes)
+	f := a.Floats(rr * Lanes)
+	wd := a.Floats(tr.T * tr.T * Lanes)
+	tmp := a.Floats(tr.T * tr.R * Lanes)
 	for i := 0; i < w.C; i++ {
 		for k := 0; k < rr; k++ {
 			for l := 0; l < n; l++ {
@@ -344,28 +344,28 @@ func (w *Weights) ToSpatialGrad() *tensor.Tensor {
 // ToSpatialGradInto is ToSpatialGrad into a caller-owned tensor with
 // caller-owned scratch.
 func (w *Weights) ToSpatialGradInto(out *tensor.Tensor, sc *Scratch) {
-	blocks := (w.Out + lanes - 1) / lanes
+	blocks := (w.Out + Lanes - 1) / Lanes
 	if sc.Workers() == 1 {
 		for jb := 0; jb < blocks; jb++ {
-			w.toSpatialItem(out, sc.slot(0), jb*lanes)
+			w.toSpatialItem(out, sc.slot(0), jb*Lanes)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), blocks, func(wk, jb int) {
-		w.toSpatialItem(out, sc.slot(wk), jb*lanes)
+		w.toSpatialItem(out, sc.slot(wk), jb*Lanes)
 	})
 }
 
 // toSpatialItem is the inverse of fromSpatialItem for output channels
-// j0.. (up to lanes of them).
+// j0.. (up to Lanes of them).
 func (w *Weights) toSpatialItem(out *tensor.Tensor, sl *scratchSlot, j0 int) {
 	tr, s := w.Tr, w.ops.gt
-	n, rr := min(lanes, w.Out-j0), tr.R*tr.R
+	n, rr := min(Lanes, w.Out-j0), tr.R*tr.R
 	a := &sl.arena
 	a.Reset()
-	tile := a.Floats(tr.T * tr.T * lanes)
-	g := a.Floats(rr * lanes)
-	tmp := a.Floats(tr.R * tr.T * lanes)
+	tile := a.Floats(tr.T * tr.T * Lanes)
+	g := a.Floats(rr * Lanes)
+	tmp := a.Floats(tr.R * tr.T * Lanes)
 	for i := 0; i < w.In; i++ {
 		for e, el := range w.El {
 			copy(tile[e*n:e*n+n], el.Data[i*w.Out+j0:i*w.Out+j0+n])

@@ -40,15 +40,17 @@ type term struct {
 	c float32
 }
 
-// sched is the compiled sparse structure of a transform matrix: rows[i]
+// Sched is the compiled sparse structure of a transform matrix: rows[i]
 // lists the nonzero (k, c) of row i.
-type sched struct {
+type Sched struct {
 	rows [][]term
 	cols int
 }
 
-func compileSched(m *tensor.Mat) *sched {
-	s := &sched{rows: make([][]term, m.Rows), cols: m.Cols}
+// CompileSched compiles m's nonzero coefficients, row by row in ascending
+// column order, into a term schedule.
+func CompileSched(m *tensor.Mat) *Sched {
+	s := &Sched{rows: make([][]term, m.Rows), cols: m.Cols}
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			if c := m.At(i, k); c != 0 {
@@ -63,17 +65,17 @@ func compileSched(m *tensor.Mat) *sched {
 // stage-2 (right-multiply) schedule of a matrix R is the row schedule of
 // Rᵀ, which is always one of these six.
 type fusedOps struct {
-	g, gt, b, bt, a, at *sched
+	g, gt, b, bt, a, at *Sched
 }
 
 func compileFused(tr *Transform) *fusedOps {
 	return &fusedOps{
-		g:  compileSched(tr.G),
-		gt: compileSched(tr.GT),
-		b:  compileSched(tr.B),
-		bt: compileSched(tr.BT),
-		a:  compileSched(tr.A),
-		at: compileSched(tr.AT),
+		g:  CompileSched(tr.G),
+		gt: CompileSched(tr.GT),
+		b:  CompileSched(tr.B),
+		bt: CompileSched(tr.BT),
+		a:  CompileSched(tr.A),
+		at: CompileSched(tr.AT),
 	}
 }
 
@@ -86,10 +88,10 @@ func schedules(tr *Transform) *fusedOps {
 	return compileFused(tr)
 }
 
-// lanes is the channel batch of the Domain and weight transform loops:
-// each schedule term is applied to up to this many tiles (one per channel)
-// in one pass.
-const lanes = 8
+// Lanes is the tile batch of the lane executors: the Domain and weight
+// transform loops apply each schedule term to up to this many tiles (one
+// per channel) in one pass, and so does the activation predictor.
+const Lanes = 8
 
 // laneSandwich computes dst = L·x·R for n independent tiles ("lanes")
 // stored lane-minor: element (i, j) of lane l sits at (i·cols + j)·n + l,
@@ -102,22 +104,22 @@ const lanes = 8
 // at +0 and adds c·v for its schedule terms in ascending k. Lanes never
 // mix, so a lane's result depends neither on n nor on its neighbours, and
 // n = 1 is the per-tile transform.
-func laneSandwich(dst []float32, ls, rts *sched, x []float32, n int, tmp []float32) {
+func laneSandwich(dst []float32, ls, rts *Sched, x []float32, n int, tmp []float32) {
 	lr, xr, xc, dc := len(ls.rows), ls.cols, rts.cols, len(rts.rows)
 	if len(x) < xr*xc*n || len(dst) < lr*dc*n || len(tmp) < lr*xc*n {
 		panic(fmt.Sprintf("winograd: lane sandwich buffers x %d, dst %d, tmp %d too small for %dx%d · %dx%d · %dx%d, %d lanes",
 			len(x), len(dst), len(tmp), lr, xr, xr, xc, xc, dc, n))
 	}
 	t1 := tmp[: lr*xc*n : lr*xc*n]
-	if n == lanes {
+	if n == Lanes {
 		for i, terms := range ls.rows {
 			for j := 0; j < xc; j++ {
-				dotLanes((*[lanes]float32)(t1[(i*xc+j)*lanes:]), terms, x[j*lanes:], xc*lanes)
+				dotLanes((*[Lanes]float32)(t1[(i*xc+j)*Lanes:]), terms, x[j*Lanes:], xc*Lanes)
 			}
 		}
 		for i := 0; i < lr; i++ {
 			for j, terms := range rts.rows {
-				dotLanes((*[lanes]float32)(dst[(i*dc+j)*lanes:]), terms, t1[i*xc*lanes:], lanes)
+				dotLanes((*[Lanes]float32)(dst[(i*dc+j)*Lanes:]), terms, t1[i*xc*Lanes:], Lanes)
 			}
 		}
 		return
@@ -148,13 +150,20 @@ func dot1(terms []term, src []float32, stride int) float32 {
 	return acc
 }
 
-// dotLanes sets d = Σ c·src[k·stride : k·stride+lanes] over terms, lane by
+// DotLanes sets d = Σ c·src[k·stride : k·stride+Lanes] over the terms of
+// row i of s: the 8-lane dot of the transform executor, exported for
+// other lane executors over the same schedules.
+func (s *Sched) DotLanes(d *[Lanes]float32, i int, src []float32, stride int) {
+	dotLanes(d, s.rows[i], src, stride)
+}
+
+// dotLanes sets d = Σ c·src[k·stride : k·stride+Lanes] over terms, lane by
 // lane, each lane's sum starting at +0 and adding in term order. The
 // accumulators stay in registers across the terms.
-func dotLanes(d *[lanes]float32, terms []term, src []float32, stride int) {
+func dotLanes(d *[Lanes]float32, terms []term, src []float32, stride int) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float32
 	for _, t := range terms {
-		s := (*[lanes]float32)(src[int(t.k)*stride:])
+		s := (*[Lanes]float32)(src[int(t.k)*stride:])
 		c := t.c
 		a0 += c * s[0]
 		a1 += c * s[1]
@@ -165,7 +174,7 @@ func dotLanes(d *[lanes]float32, terms []term, src []float32, stride int) {
 		a6 += c * s[6]
 		a7 += c * s[7]
 	}
-	*d = [lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
+	*d = [Lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
 // sandwichInto is the generic allocation-free fallback: dst = l·x·r with
@@ -219,7 +228,7 @@ func (tr *Transform) TmpLen() int { return tr.T * tr.T }
 // form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
 // lane executor, run with one lane; l/x/r feed the generic fallback when
 // s is nil.
-func (tr *Transform) sandwich(dst *tensor.Mat, s *sched, l, x, r *tensor.Mat, tmp []float32) {
+func (tr *Transform) sandwich(dst *tensor.Mat, s *Sched, l, x, r *tensor.Mat, tmp []float32) {
 	if s == nil {
 		sandwichInto(dst, l, x, r, tmp)
 		return
@@ -234,7 +243,7 @@ func (tr *Transform) sandwich(dst *tensor.Mat, s *sched, l, x, r *tensor.Mat, tm
 // FilterToWinogradInto computes dst = G·w·Gᵀ (shape T×T) without
 // allocating; tmp needs TmpLen() floats.
 func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.g
 	}
@@ -243,7 +252,7 @@ func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
 
 // InputToWinogradInto computes dst = Bᵀ·x·B (shape T×T) without allocating.
 func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.bt
 	}
@@ -253,7 +262,7 @@ func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
 // OutputFromWinogradInto computes dst = Aᵀ·y·A (shape M×M) without
 // allocating.
 func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.at
 	}
@@ -263,7 +272,7 @@ func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
 // OutputToWinogradInto computes dst = A·dy·Aᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.a
 	}
@@ -273,7 +282,7 @@ func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
 // InputFromWinogradInto computes dst = B·dX·Bᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.b
 	}
@@ -283,7 +292,7 @@ func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
 // FilterFromWinogradInto computes dst = Gᵀ·dW·G (shape R×R) without
 // allocating.
 func (tr *Transform) FilterFromWinogradInto(dst, dw *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.gt
 	}

@@ -44,7 +44,7 @@ func NewTiling(tr *Transform, p conv.Params) (*Tiling, error) {
 // Tiles returns the number of tiles per feature map (the paper's t).
 func (tl *Tiling) Tiles() int { return tl.TilesH * tl.TilesW }
 
-// The lane loops move n ≤ lanes channels of one tile at a time between
+// The lane loops move n ≤ Lanes channels of one tile at a time between
 // NCHW data and a lane-minor tile buffer (element (r, c) of lane l at
 // (r·side + c)·n + l). plane is the data from the first of the n channels
 // onward, so lane l of position (h, w) is plane[l·H·W + h·W + w].
