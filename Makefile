@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: verify fmt-check build vet lint lint-ci perfbench-check test race fuzz bench bench-baseline benchdiff profile trace trace-report scenarios scenarios-smoke autoplan
+.PHONY: verify fmt-check build vet lint lint-ci perfbench-check perfbench-smoke test race fuzz bench bench-baseline benchdiff profile trace trace-report scenarios scenarios-smoke autoplan
 
 verify: fmt-check build vet lint perfbench-check scenarios-smoke test race
 
@@ -54,6 +54,22 @@ lint:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null . && \
 		$(GO) run mptwino/cmd/mptlint -baseline "" ./...
+
+# Correctness smoke of the repo benchmark: one 1-second run of each
+# BENCHMARK.json workload, failing unless its result line (the last line
+# perfbench prints) reports "correct":true and "failed":0. Wall times are
+# not gated here; this only proves every workload still runs and checks.
+PERFBENCH_WORKLOADS = step-early step-late infer-predict plan-validate
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0)" || exit 1; \
+		res="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		echo "$$w: $$res"; \
+		if ! printf '%s' "$$res" | grep -q '"correct":true' || \
+			! printf '%s' "$$res" | grep -Eq '"failed":0[,}]'; then \
+			echo "perfbench-smoke: $$w is not correct:true with failed:0"; exit 1; \
+		fi; \
+	done
 
 # Pinned staticcheck, fetched on demand (requires network, so it is a
 # separate CI-only target: `make lint`/`make verify` must stay offline).

@@ -495,6 +495,31 @@ func BenchmarkGemmTN(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmEdgeTiles is the engine's edge-tile shape: the conv4 element
+// GEMM of a step-late AlexNet shard (batch 8, Nc 4: 98 tile rows, C = F =
+// 384), forward NN and bprop NT per op. 98 rows end in a 2-row partial
+// register tile on every tier, and K = 384 spans two depth blocks, so the
+// edge path runs on seeded partial sums. Steady state allocates nothing.
+func BenchmarkGemmEdgeTiles(b *testing.B) {
+	const m, k, n = 98, 384, 384
+	rng := tensor.NewRNG(5)
+	x, w, dst := tensor.NewMat(m, k), tensor.NewMat(k, n), tensor.NewMat(m, n)
+	for _, mat := range []*tensor.Mat{x, w} {
+		for i := range mat.Data {
+			mat.Data[i] = float32(rng.NormFloat64())
+		}
+	}
+	wt := w.T()
+	var s tensor.GemmScratch
+	tensor.MatMulIntoScratch(dst, x, w, &s) // size the packing buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulIntoScratch(dst, x, w, &s)
+		tensor.MatMulNTIntoScratch(dst, x, wt, &s)
+	}
+}
+
 // steadyLayerSetup builds a warm F(4,3) layer at the kernel benchmark
 // geometry with worker count pinned to 1 (the closure-free sequential
 // path the zero-alloc contract covers). Callers must restore workers.

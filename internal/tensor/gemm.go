@@ -20,13 +20,16 @@ import (
 // parameters — dst is zeroed once up front and the micro-kernel seeds its
 // accumulators from the stored partials at the start of each depth (KC)
 // block, so the float32 accumulation chain is the single ascending-k chain
-// of the reference loop. The SIMD kernel vectorizes across output columns
-// (each lane is one output element), never across k, so it computes the
-// same chain lane-wise. Results are therefore independent of MC/KC/NC/MR/NR
-// and of the worker count of any caller that shards whole GEMMs, and they
-// are bit-identical to MatMulNaiveInto for all finite inputs (the
-// reference's zero-operand skip only elides +0/-0 addends, which cannot
-// change an accumulator that starts at +0).
+// of the reference loop. Edge tiles (a partial mr×nr register tile at the
+// M or N remainder) run the same kernel on an MR×NR temporary seeded from
+// dst's valid block, so they continue the same chain. The SIMD kernel
+// vectorizes across output columns (each lane is one output element),
+// never across k, so it computes the same chain lane-wise. Results are
+// therefore independent of MC/KC/NC/MR/NR and of the worker count of any
+// caller that shards whole GEMMs, and they are bit-identical to
+// MatMulNaiveInto for all finite inputs (the reference's zero-operand skip
+// only elides +0/-0 addends, which cannot change an accumulator that starts
+// at +0).
 //
 // The micro-kernel and its blocking parameters are not fixed: the driver is
 // parameterized by the runtime-dispatched tier (gemm_kernel.go), each tier
@@ -40,8 +43,8 @@ const (
 	gemmKC = 256 // shared depth per packed panel
 	gemmNC = 512 // cols of B per packed panel; multiple of gemmNR
 
-	// gemmMaxMR/NR bound any tier's register tile; microKernel's on-stack
-	// accumulator block is sized by them.
+	// gemmMaxMR/NR bound any tier's register tile; they size the edge-tile
+	// temporary in GemmScratch.
 	gemmMaxMR = 16
 	gemmMaxNR = 16
 
@@ -60,6 +63,11 @@ const (
 type GemmScratch struct {
 	ap []float32 // packed A panel: mc × kc of the requesting tier, MR-row strips
 	bp []float32 // packed B panel: kc × nc of the requesting tier, NR-col strips
+
+	// edge is the MR×NR (row stride NR) tile an edge tile runs the tier
+	// kernel on. It lives here, not on gemmBlocked's stack, because its
+	// address escapes through the function-valued kernel call.
+	edge [gemmMaxMR * gemmMaxNR]float32
 }
 
 // panels returns the packing buffers sized for tier g's panel geometry —
@@ -257,8 +265,10 @@ func smallGemm(g *gemmKernel, m, n, k int) bool {
 // gemmBlocked is the blocked driver: dst(M×N) = opA(a)·opB(b) where aT/bT
 // select the transposed reading of the row-major storage. lda/ldb are the
 // storage row strides (a.Cols / b.Cols of the stored matrices). Panel and
-// register-tile geometry come from the dispatch tier g; full tiles run g's
-// assembly kernel and edge tiles the portable microKernel.
+// register-tile geometry come from the dispatch tier g, which must have an
+// assembly kernel (g.kern != nil; smallGemm keeps the portable tier on the
+// naive loops). Full tiles run g.kern in place on dst, partial ones through
+// edgeTile.
 func gemmBlocked(dst *Mat, a []float32, lda int, b []float32, ldb int, m, n, k int, aT, bT bool, s *GemmScratch, g *gemmKernel) {
 	ap, bp := s.panels(g)
 	MR, NR := g.mr, g.nr
@@ -280,10 +290,11 @@ func gemmBlocked(dst *Mat, a []float32, lda int, b []float32, ldb int, m, n, k i
 					for ir := 0; ir < mc; ir += MR {
 						mr := min(MR, mc-ir)
 						as := ap[(ir/MR)*kc*MR:]
-						if g.kern != nil && mr == MR && nr == NR {
-							g.kern(&dst.Data[(ic+ir)*ldd+jc+jr], ldd, kc, &as[0], &bs[0])
+						d := dst.Data[(ic+ir)*ldd+jc+jr:]
+						if mr == MR && nr == NR {
+							g.kern(&d[0], ldd, kc, &as[0], &bs[0])
 						} else {
-							microKernel(dst.Data, ldd, ic+ir, jc+jr, mr, nr, kc, as, bs, g)
+							edgeTile(d, ldd, mr, nr, kc, as, bs, s, g)
 						}
 					}
 				}
@@ -360,44 +371,24 @@ func packB(bp, b []float32, ldb, pc, kc, jc, nc int, bT bool, NR int) {
 	}
 }
 
-// microKernel computes the mr×nr block of dst at (i0, j0) over one packed
-// depth block, continuing the stored partial sums: the accumulators are
-// seeded from dst (zeroed once by gemmBlocked before the first depth block)
-// so each element's k-chain runs in ascending order across blocks — the
-// determinism contract. It is the portable fallback for edge tiles and for
-// tiers without an assembly kernel, following tier g's register-tile
-// geometry. The panel entries past mr/nr are zero padding and are neither
-// read into nor stored from the valid region.
-func microKernel(dst []float32, ldd, i0, j0, mr, nr, kc int, as, bs []float32, g *gemmKernel) {
-	MR, NR := g.mr, g.nr
-	var acc [gemmMaxMR * gemmMaxNR]float32
+// edgeTile runs tier g's kernel on the partial mr×nr tile at the head of
+// dst (row stride ldd) over one packed depth block: it copies dst's valid
+// block into the zeroed MR×NR temporary s.edge, runs the kernel there
+// (ldd = NR) and copies the valid block back. The packed panels are
+// zero-padded past mr/nr and lanes never mix, so the valid lanes compute
+// exactly the in-place chain and the padding lanes are discarded. The
+// temporary is seeded from dst, not left at zero: on every depth block
+// after the first the kernel must continue each element's stored
+// ascending-k chain.
+func edgeTile(dst []float32, ldd, mr, nr, kc int, as, bs []float32, s *GemmScratch, g *gemmKernel) {
+	NR := g.nr
+	t := s.edge[:g.mr*NR]
+	clear(t)
 	for r := 0; r < mr; r++ {
-		drow := dst[(i0+r)*ldd+j0:]
-		arow := acc[r*NR:]
-		for c := 0; c < nr; c++ {
-			arow[c] = drow[c]
-		}
+		copy(t[r*NR:r*NR+nr], dst[r*ldd:r*ldd+nr])
 	}
-	as = as[: kc*MR : kc*MR]
-	bs = bs[: kc*NR : kc*NR]
-	for len(as) >= MR && len(bs) >= NR {
-		ak := as[:MR]
-		bk := bs[:NR]
-		as = as[MR:]
-		bs = bs[NR:]
-		for r := 0; r < MR; r++ {
-			av := ak[r]
-			arow := acc[r*NR : r*NR+NR]
-			for c, bv := range bk {
-				arow[c] += av * bv
-			}
-		}
-	}
+	g.kern(&t[0], NR, kc, &as[0], &bs[0])
 	for r := 0; r < mr; r++ {
-		drow := dst[(i0+r)*ldd+j0:]
-		arow := acc[r*NR:]
-		for c := 0; c < nr; c++ {
-			drow[c] = arow[c]
-		}
+		copy(dst[r*ldd:r*ldd+nr], t[r*NR:r*NR+nr])
 	}
 }

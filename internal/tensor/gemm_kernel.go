@@ -38,9 +38,11 @@ type gemmKernel struct {
 	mc, kc int // packed A panel: mc×kc, mc a multiple of mr
 	nc     int // packed B panel: kc×nc, nc a multiple of nr
 
-	// kern computes one full mr×nr tile over a depth block, seeding its
-	// accumulators from dst (see kernel4x8). nil marks the portable tier:
-	// no blocking edge, every product stays on the naive reference loops.
+	// kern computes one mr×nr tile over a depth block, seeding its
+	// accumulators from dst (see kernel4x8); gemmBlocked runs it in place
+	// on full tiles and on a seeded temporary for edge tiles. nil marks
+	// the portable tier: no blocked path, every product stays on the naive
+	// reference loops.
 	kern func(dst *float32, ldd, kc int, as, bs *float32)
 }
 

@@ -50,12 +50,66 @@ func TestGemmKernelSelection(t *testing.T) {
 	}
 }
 
+// edgeDims lists sizes along an axis of register-tile width R that end in
+// every partial tile width: 1..R+1 (each width alone, and width 1 after a
+// full tile) and 2R+1..3R, which clear smallGemm's two-tile floor so the
+// public entry points reach the blocked path with every partial width.
+func edgeDims(R int) []int {
+	var out []int
+	for d := 1; d <= R+1; d++ {
+		out = append(out, d)
+	}
+	for d := 2*R + 1; d <= 3*R; d++ {
+		out = append(out, d)
+	}
+	return out
+}
+
+// requireAllLayouts checks the NN/NT/TN entry points — and, on a tier with
+// an assembly kernel, the direct gemmBlocked calls — against the naive
+// reference for one m×k · k×n problem on the active tier g.
+func requireAllLayouts(t *testing.T, ctx string, g *gemmKernel, rng *rand.Rand, m, n, k int) {
+	t.Helper()
+	a := randMat(rng, m, k, 0.15)
+	b := randMat(rng, k, n, 0.15)
+	bt, at := b.T(), a.T()
+	want, got := NewMat(m, n), NewMat(m, n)
+	var s GemmScratch
+
+	MatMulNaiveInto(want, a, b)
+	MatMulInto(got, a, b)
+	requireBitIdentical(t, ctx+" NN", want, got)
+	if g.kern != nil {
+		gemmBlocked(got, a.Data, a.Cols, b.Data, b.Cols, m, n, k, false, false, &s, g)
+		requireBitIdentical(t, ctx+" blocked NN", want, got)
+	}
+
+	MatMulNTNaiveInto(want, a, bt)
+	MatMulNTInto(got, a, bt)
+	requireBitIdentical(t, ctx+" NT", want, got)
+	if g.kern != nil {
+		gemmBlocked(got, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
+		requireBitIdentical(t, ctx+" blocked NT", want, got)
+	}
+
+	MatMulTNNaiveInto(want, at, b)
+	MatMulTNInto(got, at, b)
+	requireBitIdentical(t, ctx+" TN", want, got)
+	if g.kern != nil {
+		gemmBlocked(got, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
+		requireBitIdentical(t, ctx+" blocked TN", want, got)
+	}
+}
+
 // TestGemmAllTiersTailShapes forces every tier this CPU supports and runs
-// the full NN/NT/TN entry-point set over shapes straddling each tier's own
-// register-tile boundaries (m,n,k ∈ {1, MR−1, MR, MR+1, 2·MR+1, …}),
-// requiring bit-identity with the naive reference. Together with the
-// CI tier matrix (which forces tiers via MPTWINO_GEMM_KERNEL at the process
-// level) this pins the per-tier determinism contract.
+// the NN/NT/TN entry points (plus direct blocked calls on assembly tiers)
+// over every (mr < MR, nr < NR) edge-tile pair of the tier's own register
+// tile, at depths on both sides of one and two KC blocks — the second depth
+// block is where an edge tile must continue the stored partial sums — and
+// over the tier's own MC/NC panel straddles, requiring bit-identity with
+// the naive reference. Together with the CI tier matrix (which forces tiers
+// via MPTWINO_GEMM_KERNEL at the process level) this pins the per-tier
+// determinism contract.
 func TestGemmAllTiersTailShapes(t *testing.T) {
 	defer restoreGemmKernel(t)
 	rng := rand.New(rand.NewSource(99))
@@ -64,40 +118,59 @@ func TestGemmAllTiersTailShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := activeGemm.Load()
-		dims := []int{1, g.mr - 1, g.mr, g.mr + 1, 2*g.mr + 1, g.nr - 1, g.nr, g.nr + 1, 2*g.nr + 1, 3 * g.nr}
-		ks := []int{1, 2, g.kc - 1, g.kc, g.kc + 1, 37}
-		for _, m := range dims {
-			if m < 1 {
-				continue
-			}
-			for _, n := range dims {
-				if n < 1 {
-					continue
-				}
-				for _, k := range ks {
-					a := randMat(rng, m, k, 0.15)
-					b := randMat(rng, k, n, 0.15)
-					want := NewMat(m, n)
-					MatMulNaiveInto(want, a, b)
-					got := NewMat(m, n)
-					MatMulInto(got, a, b)
-					requireBitIdentical(t, name+" NN", want, got)
-
-					bt := b.T()
-					wantNT := NewMat(m, n)
-					MatMulNTNaiveInto(wantNT, a, bt)
-					got.Zero()
-					MatMulNTInto(got, a, bt)
-					requireBitIdentical(t, name+" NT", wantNT, got)
-
-					at := a.T()
-					wantTN := NewMat(m, n)
-					MatMulTNNaiveInto(wantTN, at, b)
-					got.Zero()
-					MatMulTNInto(got, at, b)
-					requireBitIdentical(t, name+" TN", wantTN, got)
+		for _, m := range edgeDims(g.mr) {
+			for _, n := range edgeDims(g.nr) {
+				for _, k := range []int{1, g.kc - 1, g.kc + 1, 2*g.kc + 1} {
+					requireAllLayouts(t, name, g, rng, m, n, k)
 				}
 			}
+		}
+		for _, sh := range [][3]int{ // {m, n, k}
+			{g.mc + 1, 2*g.nr + 3, g.kc + 1},
+			{2*g.mr + 1, g.nc + 3, 19},
+			{g.mc + 1, g.nc + 3, 3},
+		} {
+			requireAllLayouts(t, name+" panel straddle", g, rng, sh[0], sh[1], sh[2])
+		}
+	}
+}
+
+// TestGemmEdgeTilesAllocFree pins the edge-tile temporary to GemmScratch:
+// on every tier, steady-state NN/NT/TN calls whose every register-tile row
+// and column strip ends in an edge tile (and whose depth spans two KC
+// blocks) allocate nothing. The kernel-tiers CI matrix gates it per tier.
+func TestGemmEdgeTilesAllocFree(t *testing.T) {
+	defer restoreGemmKernel(t)
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range GemmKernels() {
+		if err := SelectGemmKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		g := activeGemm.Load()
+		m, n, k := 12*g.mr+2, 4*g.nr+3, g.kc+1
+		a, b := randMat(rng, m, k, 0), randMat(rng, k, n, 0)
+		bt, at := b.T(), a.T()
+		dst := NewMat(m, n)
+		var s GemmScratch
+		calls := func() {
+			MatMulIntoScratch(dst, a, b, &s)
+			MatMulNTIntoScratch(dst, a, bt, &s)
+			MatMulTNIntoScratch(dst, at, b, &s)
+		}
+		calls() // grow the packing panels
+		if allocs := testing.AllocsPerRun(10, calls); allocs != 0 {
+			t.Fatalf("%s: edge-heavy GEMMs allocate %v per run, want 0", name, allocs)
+		}
+	}
+}
+
+// TestGemmTierTilesFitEdgeTemporary checks that every listed tier's
+// register tile fits the gemmMaxMR×gemmMaxNR edge-tile temporary.
+func TestGemmTierTilesFitEdgeTemporary(t *testing.T) {
+	for _, g := range gemmKernels {
+		if g.mr < 1 || g.mr > gemmMaxMR || g.nr < 1 || g.nr > gemmMaxNR {
+			t.Fatalf("%s: register tile %d×%d outside 1..%d × 1..%d",
+				g.name, g.mr, g.nr, gemmMaxMR, gemmMaxNR)
 		}
 	}
 }

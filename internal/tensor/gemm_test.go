@@ -58,7 +58,9 @@ func ulpClose(want, got float32, maxUlps int32) bool {
 // addends. Shapes straddle every blocking boundary (MR/NR strip remainders,
 // MC/KC/NC panel remainders) and the small-dispatch threshold. The test
 // runs against whatever tier is active (MPTWINO_GEMM_KERNEL included), so
-// the CI tier matrix re-proves the contract per tier.
+// the CI tier matrix re-proves the contract per tier. The direct blocked
+// calls need an assembly kernel and are skipped on the portable tier, which
+// never reaches gemmBlocked; the public entry points run on every tier.
 func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][3]int{ // {m, n, k}
@@ -71,44 +73,7 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 	}
 	g := activeGemm.Load()
 	for _, sh := range shapes {
-		m, n, k := sh[0], sh[1], sh[2]
-		a := randMat(rng, m, k, 0.15)
-		b := randMat(rng, k, n, 0.15)
-		want := NewMat(m, n)
-		MatMulNaiveInto(want, a, b)
-
-		got := NewMat(m, n)
-		var s GemmScratch
-		gemmBlocked(got, a.Data, a.Cols, b.Data, b.Cols, m, n, k, false, false, &s, g)
-		requireBitIdentical(t, "blocked NN", want, got)
-
-		// Public dispatch (small shapes take the naive path, large the
-		// blocked one; either way bits must match the reference).
-		got.Zero()
-		MatMulInto(got, a, b)
-		requireBitIdentical(t, "MatMulInto", want, got)
-
-		// NT: same product with b stored transposed (n×k).
-		bt := b.T()
-		gotNT := NewMat(m, n)
-		wantNT := NewMat(m, n)
-		MatMulNTNaiveInto(wantNT, a, bt)
-		gemmBlocked(gotNT, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
-		requireBitIdentical(t, "blocked NT", wantNT, gotNT)
-		gotNT.Zero()
-		MatMulNTInto(gotNT, a, bt)
-		requireBitIdentical(t, "MatMulNTInto", wantNT, gotNT)
-
-		// TN: same product with a stored transposed (k×m).
-		at := a.T()
-		gotTN := NewMat(m, n)
-		gemmBlocked(gotTN, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
-		wantTN := NewMat(m, n)
-		MatMulTNNaiveInto(wantTN, at, b)
-		requireBitIdentical(t, "blocked TN", wantTN, gotTN)
-		gotTN.Zero()
-		MatMulTNInto(gotTN, at, b)
-		requireBitIdentical(t, "MatMulTNInto", wantTN, gotTN)
+		requireAllLayouts(t, g.name, g, rng, sh[0], sh[1], sh[2])
 	}
 }
 
@@ -176,17 +141,22 @@ func TestTIntoCloneInto(t *testing.T) {
 }
 
 // FuzzBlockedGemmMatchesNaive drives random shapes (biased toward blocking
-// remainders) and random data, requiring bit-identity with the naive
-// reference for all three operand layouts.
+// remainders) and random data through the NN/NT/TN entry points and, on
+// every tier with an assembly kernel, the blocked driver, requiring
+// bit-identity with the naive reference. The depth byte maps to k up to
+// 766, past two KC blocks of every tier, so edge tiles are exercised on the
+// later depth blocks where they must continue the stored partial sums.
 func FuzzBlockedGemmMatchesNaive(f *testing.F) {
 	f.Add(int64(1), uint8(33), uint8(29), uint8(41))
 	f.Add(int64(2), uint8(130), uint8(70), uint8(255))
 	f.Add(int64(3), uint8(4), uint8(4), uint8(1))
+	// m % MR ≠ 0 and n % NR ≠ 0 on every tier, with k past one and two KC
+	// blocks: the engine's 98-row edge strip and a deeper odd shape.
+	f.Add(int64(4), uint8(97), uint8(34), uint8(100))
+	f.Add(int64(5), uint8(17), uint8(10), uint8(180))
 	f.Fuzz(func(t *testing.T, seed int64, mb, nb, kb uint8) {
-		m, n, k := int(mb)+1, int(nb)+1, int(kb)+1
+		m, n, k := int(mb)+1, int(nb)+1, 3*int(kb)+1
 		rng := rand.New(rand.NewSource(seed))
-		a := randMat(rng, m, k, 0.2)
-		b := randMat(rng, k, n, 0.2)
 		// Every tier this CPU can run must match the naive reference; the
 		// active tier is restored by the deferred cleanup.
 		defer restoreGemmKernel(t)
@@ -194,23 +164,7 @@ func FuzzBlockedGemmMatchesNaive(f *testing.F) {
 			if err := SelectGemmKernel(name); err != nil {
 				t.Fatal(err)
 			}
-			g := activeGemm.Load()
-			want := NewMat(m, n)
-			MatMulNaiveInto(want, a, b)
-			var s GemmScratch
-			got := NewMat(m, n)
-			gemmBlocked(got, a.Data, a.Cols, b.Data, b.Cols, m, n, k, false, false, &s, g)
-			requireBitIdentical(t, "fuzz NN "+name, want, got)
-			bt := b.T()
-			gemmBlocked(got, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
-			wantNT := NewMat(m, n)
-			MatMulNTNaiveInto(wantNT, a, bt)
-			requireBitIdentical(t, "fuzz NT "+name, wantNT, got)
-			at := a.T()
-			gemmBlocked(got, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
-			wantTN := NewMat(m, n)
-			MatMulTNNaiveInto(wantTN, at, b)
-			requireBitIdentical(t, "fuzz TN "+name, wantTN, got)
+			requireAllLayouts(t, "fuzz "+name, activeGemm.Load(), rng, m, n, k)
 		}
 	})
 }
