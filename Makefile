@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: verify fmt-check build vet lint lint-ci perfbench-check perfbench-smoke test race fuzz bench bench-baseline benchdiff profile trace trace-report scenarios scenarios-smoke autoplan
+.PHONY: verify fmt-check build vet lint lint-ci nofma perfbench-check perfbench-smoke test race fuzz bench bench-baseline benchdiff profile trace trace-report scenarios scenarios-smoke autoplan
 
 verify: fmt-check build vet lint perfbench-check scenarios-smoke test race
 
@@ -30,13 +30,34 @@ race:
 
 # Short fuzz passes over the numeric invariants: activation-predictor
 # safety, the lane predictor's decisions against the per-tile reference,
-# blocked-GEMM bit-identity with the naive reference, and the lane-batched
-# Domain transforms' bit-identity with the per-tile loops.
+# blocked-GEMM bit-identity with the naive reference, every tier's lane-stage
+# kernel against the Go stage loop, the lane-batched Domain transforms'
+# bit-identity with the per-tile loops, and the trace parser's robustness
+# against malformed input.
 fuzz:
 	$(GO) test -fuzz=FuzzPredictorNeverUnderestimates -fuzztime=30s ./internal/quant/
 	$(GO) test -fuzz=FuzzPredictorLanesMatchPerTile -fuzztime=30s ./internal/quant/
 	$(GO) test -fuzz=FuzzBlockedGemmMatchesNaive -fuzztime=30s ./internal/tensor/
+	$(GO) test -fuzz=FuzzLaneStageMatchesGo -fuzztime=30s ./internal/tensor/
 	$(GO) test -fuzz=FuzzLaneTransformsMatchPerTile -fuzztime=30s ./internal/winograd/
+	$(GO) test -fuzz=FuzzParseTrace -fuzztime=30s ./internal/traceview/
+
+# No fused multiply-add in the numeric packages (DESIGN.md §13). The Go
+# spec lets a compiler fuse acc += a*b into one FMA, which changes result
+# bits, and arm64 does so unless the product is rounded by an explicit
+# conversion (acc += float32(a*b)). This cross-compiles the four numeric
+# packages for arm64 with the assembly listing (the build cache replays
+# it, so a cached build still prints it) and fails on any fused
+# instruction, or on an empty listing.
+NOFMA_PKGS = ./internal/tensor ./internal/winograd ./internal/quant ./internal/mpt
+nofma:
+	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(NOFMA_PKGS) 2>&1 >/dev/null)" || \
+		{ printf '%s\n' "$$asm" | tail -n 20; exit 1; }; \
+	if ! printf '%s\n' "$$asm" | grep -q STEXT; then echo "nofma: empty arm64 listing"; exit 1; fi; \
+	fused="$$(printf '%s\n' "$$asm" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\b')" || true; \
+	if [ -n "$$fused" ]; then echo "nofma: fused multiply-add in the arm64 build:"; \
+		printf '%s\n' "$$fused"; exit 1; fi; \
+	echo "nofma: no fused multiply-add in $(NOFMA_PKGS) for arm64"
 
 # mptlint: the repo's own invariant analyzers (determinism, bounded
 # parallelism, zero-alloc kernels — DESIGN.md §9/§14). Fully offline: type

@@ -520,6 +520,41 @@ func BenchmarkGemmEdgeTiles(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneTransforms runs the four Domain transforms of a step-early
+// layer (VGG-16 stage 3 at 1/8 width: 32 channels, 56×56, pad 1,
+// F(4×4,3×3)) on one image at one worker: TransformInput, InverseOutput,
+// TransformOutputGrad and InverseInputGrad per op. Each schedule stage of
+// each 8-channel tile pass is one lane-stage kernel call on the active
+// tier. Steady state allocates nothing.
+func BenchmarkLaneTransforms(b *testing.B) {
+	prev := parallel.SetDefaultWorkers(1)
+	defer parallel.SetDefaultWorkers(prev)
+	p := conv.Params{In: 32, Out: 32, K: 3, Pad: 1, H: 56, W: 56}
+	tl, err := winograd.NewTiling(winograd.F4x4_3x3, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := tensor.NewRNG(7)
+	x, dx := tensor.New(1, p.In, p.H, p.W), tensor.New(1, p.In, p.H, p.W)
+	dy, y := tensor.New(1, p.Out, p.OutH(), p.OutW()), tensor.New(1, p.Out, p.OutH(), p.OutW())
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(dy, 0, 1)
+	xd, dyd := winograd.NewDomain(tl, 1, p.In), winograd.NewDomain(tl, 1, p.Out)
+	sc := winograd.NewScratch()
+	step := func() {
+		tl.TransformInputInto(xd, x, sc)
+		tl.InverseOutputInto(y, xd, sc) // In = Out, so xd has an output Domain's shape
+		tl.TransformOutputGradInto(dyd, dy, sc)
+		tl.InverseInputGradInto(dx, dyd, sc)
+	}
+	step() // size the scratch arenas
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // steadyLayerSetup builds a warm F(4,3) layer at the kernel benchmark
 // geometry with worker count pinned to 1 (the closure-free sequential
 // path the zero-alloc contract covers). Callers must restore workers.

@@ -79,6 +79,10 @@ var sanctionedCallees = map[string]string{
 	// candidates (gemm_amd64 tiers) are straight-line store loops; the
 	// per-tier 0 allocs/op benchmarks cover each one.
 	"(*mptwino/internal/tensor.gemmKernel).kern": "runtime-dispatched micro-kernel tier; all candidates are allocation-free store loops",
+	// The same tier's lane-stage kernel (the Winograd tile transforms and
+	// the activation predictor): SSE2 or AVX2 assembly loops that only
+	// load and store; TestLaneStageAllocFree pins each tier at 0 allocs.
+	"(*mptwino/internal/tensor.gemmKernel).lanes": "runtime-dispatched lane-stage kernel tier; all candidates are allocation-free store loops",
 }
 
 // sanctionedCalleePrefixes sanctions whole packages by key prefix: pure

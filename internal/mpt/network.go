@@ -152,7 +152,7 @@ func (n *Net) TrainStepMSE(x, target *tensor.Tensor, lr float32) (float64, error
 	dy.AXPY(-1, target)
 	var loss float64
 	for _, v := range dy.Data {
-		loss += 0.5 * float64(v) * float64(v)
+		loss += float64(0.5 * float64(v) * float64(v))
 	}
 	if err := n.Backward(dy, lr); err != nil {
 		return 0, err

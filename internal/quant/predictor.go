@@ -28,7 +28,7 @@ type Predictor struct {
 	// Compiled row schedules of Aᵀ and its PN split. They serve both
 	// multiplication sides: the schedule of Aᵀ drives y·A row by row, and
 	// pos(A)ᵀ = pos(Aᵀ), neg(A)ᵀ = neg(Aᵀ) drive res·pos(A), res·neg(A).
-	at, atPos, atNeg *winograd.Sched
+	at, atPos, atNeg *tensor.LaneSched
 }
 
 // NewPredictor builds a predictor for the given transform and quantizer.
@@ -37,9 +37,9 @@ func NewPredictor(tr *winograd.Transform, q *Quantizer) *Predictor {
 	return &Predictor{
 		Tr:    tr,
 		Q:     q,
-		at:    winograd.CompileSched(tr.AT),
-		atPos: winograd.CompileSched(pos),
-		atNeg: winograd.CompileSched(neg),
+		at:    tensor.CompileLaneSched(tr.AT),
+		atPos: tensor.CompileLaneSched(pos),
+		atNeg: tensor.CompileLaneSched(neg),
 	}
 }
 
@@ -216,8 +216,9 @@ func (s *Scratch) rowDead(m, l, r int) bool {
 
 // run predicts lanes 0 … n−1 of s.y, leaving the lane-minor m×m
 // estimate in s.est, the maximum positive error in s.maxe and each lane's
-// overflow flag in s.ov. The float stages run on all lanes (their cost is
-// per term, not per lane); only quantization skips the unused ones.
+// overflow flag in s.ov. Each float stage is one lane-stage kernel call
+// over all lanes (MulLanes = S·x, MulLanesT = x·Sᵀ; their cost is per
+// term, not per lane); only quantization skips the unused ones.
 //
 // Each lane sees the float operations of the reference MatMul passes
 // (predictor_test.go) in the same order: every entry starts at +0 and
@@ -228,19 +229,19 @@ func (s *Scratch) rowDead(m, l, r int) bool {
 func (p *Predictor) run(s *Scratch, n int, oneD bool) {
 	t, m := p.Tr.T, p.Tr.M
 	if oneD {
-		rowTimes(s.z, p.at, s.y, t, m) // z = y·A, exact at the source
+		p.at.MulLanesT(s.z, s.y, t, lanes) // z = y·A, exact at the source
 		p.quantize(s.q, s.r, s.z[:t*m*lanes], n, &s.ov)
-		colTimes(s.est, p.at, s.q, m)     // est = Aᵀ·qz
-		colTimes(s.maxe, p.atPos, s.r, m) // maxErr = pos(Aᵀ)·res
+		p.at.MulLanes(s.est, s.q, m, lanes)     // est = Aᵀ·qz
+		p.atPos.MulLanes(s.maxe, s.r, m, lanes) // maxErr = pos(Aᵀ)·res
 		return
 	}
 	p.quantize(s.q, s.r, s.y[:t*t*lanes], n, &s.ov)
-	rowTimes(s.z, p.at, s.q, t, m)       // qv·A
-	rowTimes(s.pos1, p.atPos, s.r, t, m) // positive stage-1 bound
-	rowTimes(s.neg1, p.atNeg, s.r, t, m) // negative stage-1 bound (≤ 0)
-	colTimes(s.est, p.at, s.z, m)        // est = Aᵀ·(qv·A)
-	colTimes(s.maxe, p.atPos, s.pos1, m) // positive coeff × positive err
-	colTimes(s.tmp, p.atNeg, s.neg1, m)  // negative coeff × negative err
+	p.at.MulLanesT(s.z, s.q, t, lanes)         // qv·A
+	p.atPos.MulLanesT(s.pos1, s.r, t, lanes)   // positive stage-1 bound
+	p.atNeg.MulLanesT(s.neg1, s.r, t, lanes)   // negative stage-1 bound (≤ 0)
+	p.at.MulLanes(s.est, s.z, m, lanes)        // est = Aᵀ·(qv·A)
+	p.atPos.MulLanes(s.maxe, s.pos1, m, lanes) // positive coeff × positive err
+	p.atNeg.MulLanes(s.tmp, s.neg1, m, lanes)  // negative coeff × negative err
 	for i := range s.maxe[:m*m*lanes] {
 		s.maxe[i] += s.tmp[i]
 	}
@@ -255,26 +256,6 @@ func (p *Predictor) quantize(q, r, v []float32, n int, ov *[lanes]bool) {
 			var o bool
 			q[i0+l], r[i0+l], o = p.Q.Quantize(v[i0+l])
 			ov[l] = ov[l] || o
-		}
-	}
-}
-
-// rowTimes sets dst = x·R for the lane-minor t×t tiles x, where rt is
-// the row schedule of the t×m matrix Rᵀ: dst is t×m.
-func rowTimes(dst []float32, rt *winograd.Sched, x []float32, t, m int) {
-	for i := 0; i < t; i++ {
-		for j := 0; j < m; j++ {
-			rt.DotLanes((*[lanes]float32)(dst[(i*m+j)*lanes:]), j, x[i*t*lanes:], lanes)
-		}
-	}
-}
-
-// colTimes sets dst = L·x for the lane-minor t×m matrices x, where l is
-// the row schedule of the m×t matrix L: dst is m×m.
-func colTimes(dst []float32, l *winograd.Sched, x []float32, m int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			l.DotLanes((*[lanes]float32)(dst[(i*m+j)*lanes:]), i, x[j*lanes:], m*lanes)
 		}
 	}
 }

@@ -259,7 +259,7 @@ func (m *moments) add(values []float32) {
 	sum, sumsq := m.sum, m.sumsq // in registers across the loop
 	for _, v := range values {
 		sum += float64(v)
-		sumsq += float64(v) * float64(v)
+		sumsq += float64(float64(v) * float64(v))
 	}
 	m.sum, m.sumsq = sum, sumsq
 	m.n += len(values)
@@ -271,7 +271,7 @@ func (m *moments) sigma() float32 {
 	}
 	n := float64(m.n)
 	mean := m.sum / n
-	variance := m.sumsq/n - mean*mean
+	variance := m.sumsq/n - float64(mean*mean)
 	if variance <= 0 {
 		return 1e-12
 	}

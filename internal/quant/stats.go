@@ -139,7 +139,7 @@ func ScatterZeroRatio(xd *winograd.Domain) float64 {
 // pre-send of codeBits per element: skipped tiles avoid their 32-bit
 // payload, but every tile pays the quantized header.
 func GatherTrafficReduction(skipRatio float64, codeBits int) float64 {
-	overhead := float64(codeBits) / 32.0
+	overhead := float64(float64(codeBits) / 32.0)
 	reduction := skipRatio - overhead
 	if reduction < 0 {
 		return 0

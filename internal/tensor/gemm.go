@@ -110,7 +110,7 @@ func MatMulNaiveInto(dst, a, b *Mat) {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func MatMulNTNaiveInto(dst, a, b *Mat) {
 			brow := b.Data[j*k : (j+1)*k]
 			var acc float32
 			for p, av := range arow {
-				acc += av * brow[p]
+				acc += float32(av * brow[p])
 			}
 			drow[j] = acc
 		}
@@ -153,7 +153,7 @@ func MatMulTNNaiveInto(dst, a, b *Mat) {
 			}
 			drow := dst.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -176,6 +176,139 @@ avx2store:
 	VZEROUPPER
 	RET
 
+// func laneStageSSE2(dst, src *float32, terms *laneTerm, off *int32, rows, outer, dOuter, dRow, sOuter, kStride int)
+//
+// One lane stage (lanes.go) at 8 lanes on two XMM halves. For o < outer and
+// r < rows: dst[o·dOuter + r·dRow : +8] = Σ c·src[o·sOuter + k·kStride : +8]
+// over the terms (k int32 at +0, c float32 at +4) of terms[off[r]:off[r+1]],
+// in term order. Each entry's accumulators start at +0; the product is
+// rounded (MULPS) before it is added, never fused, and ADDPS takes the
+// accumulator as its first operand — the operand order of the scalar Go
+// loop, which decides the NaN payload when both addends are NaN. Strides
+// are in float32 elements; the caller has checked every address.
+//
+// Registers: DI dst of this o, SI src of this o, R8 terms, R9 &off[r],
+// R10 rows, R11 outer countdown, R13 dRow bytes, R15 kStride bytes, BX dst
+// of this entry, CX row countdown, DX &term, AX term countdown, R12 k
+// offset; X0/X1 accumulators, X2 broadcast c, X3/X4 products.
+TEXT ·laneStageSSE2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ terms+16(FP), R8
+	MOVQ rows+32(FP), R10
+	MOVQ outer+40(FP), R11
+	MOVQ dRow+56(FP), R13
+	MOVQ kStride+72(FP), R15
+	SHLQ $2, R13
+	SHLQ $2, R15
+
+sseouter:
+	MOVQ off+24(FP), R9
+	MOVQ DI, BX
+	MOVQ R10, CX
+
+sserow:
+	MOVLQSX (R9), DX         // off[r]
+	MOVLQSX 4(R9), AX        // off[r+1]
+	SUBQ    DX, AX           // terms in row r
+	LEAQ    (R8)(DX*8), DX   // &terms[off[r]]
+	XORPS   X0, X0
+	XORPS   X1, X1
+	TESTQ   AX, AX
+	JZ      ssestore
+
+sseterm:
+	MOVLQSX (DX), R12
+	IMULQ   R15, R12         // k·kStride in bytes
+	MOVSS   4(DX), X2        // c
+	SHUFPS  $0x00, X2, X2
+	MOVUPS  (SI)(R12*1), X3  // src lanes 0-3
+	MOVUPS  16(SI)(R12*1), X4
+	MULPS   X2, X3
+	MULPS   X2, X4
+	ADDPS   X3, X0           // acc + c·v
+	ADDPS   X4, X1
+	ADDQ    $8, DX
+	DECQ    AX
+	JNZ     sseterm
+
+ssestore:
+	MOVUPS X0, (BX)
+	MOVUPS X1, 16(BX)
+	ADDQ   R13, BX
+	ADDQ   $4, R9
+	DECQ   CX
+	JNZ    sserow
+
+	MOVQ dOuter+48(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, DI
+	MOVQ sOuter+64(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, SI
+	DECQ R11
+	JNZ  sseouter
+	RET
+
+// func laneStageAVX2(dst, src *float32, terms *laneTerm, off *int32, rows, outer, dOuter, dRow, sOuter, kStride int)
+//
+// laneStageSSE2 on one YMM accumulator per entry: VBROADCASTSS c, VMULPS
+// the 8 source lanes, VADDPS with the accumulator as first source. No
+// fused multiply-add, by design (see kernel8x8avx2). Same registers, with
+// Y0 the accumulator, Y1 the broadcast c and Y2 the product.
+TEXT ·laneStageAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ terms+16(FP), R8
+	MOVQ rows+32(FP), R10
+	MOVQ outer+40(FP), R11
+	MOVQ dRow+56(FP), R13
+	MOVQ kStride+72(FP), R15
+	SHLQ $2, R13
+	SHLQ $2, R15
+
+avxouter:
+	MOVQ off+24(FP), R9
+	MOVQ DI, BX
+	MOVQ R10, CX
+
+avxrow:
+	MOVLQSX (R9), DX
+	MOVLQSX 4(R9), AX
+	SUBQ    DX, AX
+	LEAQ    (R8)(DX*8), DX
+	VXORPS  Y0, Y0, Y0
+	TESTQ   AX, AX
+	JZ      avxstore
+
+avxterm:
+	MOVLQSX      (DX), R12
+	IMULQ        R15, R12
+	VBROADCASTSS 4(DX), Y1
+	VMULPS       (SI)(R12*1), Y1, Y2
+	VADDPS       Y2, Y0, Y0  // acc + c·v
+	ADDQ         $8, DX
+	DECQ         AX
+	JNZ          avxterm
+
+avxstore:
+	VMOVUPS Y0, (BX)
+	ADDQ    R13, BX
+	ADDQ    $4, R9
+	DECQ    CX
+	JNZ     avxrow
+
+	MOVQ dOuter+48(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, DI
+	MOVQ sOuter+64(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, SI
+	DECQ R11
+	JNZ  avxouter
+	VZEROUPPER
+	RET
+
 // func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //
 // Raw CPUID — the repo is stdlib-only, so feature detection cannot lean on

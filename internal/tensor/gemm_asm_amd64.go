@@ -19,6 +19,19 @@ func kernel4x8(dst *float32, ldd, kc int, as, bs *float32)
 //go:noescape
 func kernel8x8avx2(dst *float32, ldd, kc int, as, bs *float32)
 
+// laneStageSSE2 and laneStageAVX2 run one lane stage (lanes.go) at 8
+// lanes: for o < outer and each schedule row r, dst[o·dOuter + r·dRow : +8]
+// = Σ c·src[o·sOuter + k·kStride : +8] over terms[off[r]:off[r+1]], every
+// entry starting at +0 and adding the products in term order (strides in
+// float32 elements). They trust the caller's extent check. See
+// gemm_amd64.s.
+//
+//go:noescape
+func laneStageSSE2(dst, src *float32, terms *laneTerm, off *int32, rows, outer, dOuter, dRow, sOuter, kStride int)
+
+//go:noescape
+func laneStageAVX2(dst, src *float32, terms *laneTerm, off *int32, rows, outer, dOuter, dRow, sOuter, kStride int)
+
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)
@@ -58,10 +71,10 @@ var gemmKernels = buildGemmKernels()
 func buildGemmKernels() []*gemmKernel {
 	ks := []*gemmKernel{
 		{name: "portable", mr: gemmMR, nr: gemmNR, mc: gemmMC, kc: gemmKC, nc: gemmNC},
-		{name: "sse2", mr: gemmMR, nr: gemmNR, mc: gemmMC, kc: gemmKC, nc: gemmNC, kern: kernel4x8},
+		{name: "sse2", mr: gemmMR, nr: gemmNR, mc: gemmMC, kc: gemmKC, nc: gemmNC, kern: kernel4x8, lanes: laneStageSSE2},
 	}
 	if cpuHasAVX2 {
-		ks = append(ks, &gemmKernel{name: "avx2", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8avx2})
+		ks = append(ks, &gemmKernel{name: "avx2", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8avx2, lanes: laneStageAVX2})
 	}
 	return ks
 }

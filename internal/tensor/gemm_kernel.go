@@ -9,21 +9,25 @@ import (
 
 // Runtime GEMM dispatch. The blocked driver in gemm.go is parameterized by
 // a gemmKernel — one register-tiled micro-kernel plus the cache-panel
-// geometry tuned for it — and the process selects the fastest tier the CPU
-// supports at init (raw CPUID on amd64, no third-party modules). The
-// determinism contract is per-element: every tier computes the same
-// ascending-k float32 mul+add chain as MatMulNaiveInto, lane-parallel across
-// output columns only, so switching tiers (or machines) never changes a
-// result bit.
+// geometry tuned for it, and the lane-stage kernel of lanes.go — and the
+// process selects the fastest tier the CPU supports at init (raw CPUID on
+// amd64, no third-party modules). The determinism contract is per-element:
+// every tier computes the same ascending-k float32 mul+add chain as
+// MatMulNaiveInto (or laneStageGo), lane-parallel across output columns
+// only, so switching tiers (or machines) never changes a result bit. Every
+// Go reference loop rounds each product explicitly (acc += float32(a·b)),
+// because the Go spec lets a compiler fuse a bare acc += a·b into one FMA,
+// which arm64 does; `make nofma` checks the listing.
 //
 // Tier geometry (per micro-kernel, amd64):
 //
 //	sse2  4×8  MC=128 KC=256 NC=512   A panel 128 KB (L2), B strip 8 KB (L1)
 //	avx2  8×8  MC=192 KC=256 NC=1024  A panel 192 KB (L2), B strip 8 KB (L1)
 //
-// The portable tier has no assembly micro-kernel and keeps every product on
-// the reference loops — the exact behavior of a -tags purego or non-amd64
-// build.
+// The portable tier has no assembly kernels and keeps every product on the
+// reference loops — the exact behavior of a -tags purego or non-amd64
+// build. MPTWINO_GEMM_KERNEL selects the lane-stage kernel with the GEMM
+// kernel: both belong to the tier.
 
 // EnvGemmKernel is the environment variable that forces a dispatch tier
 // (portable|sse2|avx2); empty or "auto" selects the fastest tier the CPU
@@ -44,6 +48,11 @@ type gemmKernel struct {
 	// the portable tier: no blocked path, every product stays on the naive
 	// reference loops.
 	kern func(dst *float32, ldd, kc int, as, bs *float32)
+
+	// lanes runs one whole lane stage (lanes.go) at n = Lanes over an
+	// extent LaneSched has already checked. nil marks the portable tier,
+	// whose stages run the Go loop laneStageGo.
+	lanes func(dst, src *float32, terms *laneTerm, off *int32, rows, outer, dOuter, dRow, sOuter, kStride int)
 }
 
 // activeGemm is the tier every MatMul* entry point reads (atomically, so

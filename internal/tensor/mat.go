@@ -127,7 +127,7 @@ func MatMulAccInto(dst, a, b *Mat) {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func MatInverse(m *Mat) (*Mat, error) {
 			}
 			f := a[r][col]
 			for j := 0; j < 2*n; j++ {
-				a[r][j] -= f * a[col][j]
+				a[r][j] -= float64(f * a[col][j])
 			}
 		}
 	}

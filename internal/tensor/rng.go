@@ -27,7 +27,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform sample in [0,1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform sample in [0,n). It panics if n <= 0.
@@ -46,9 +46,9 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -70,7 +70,7 @@ func (r *RNG) FillUniform(t *Tensor, lo, hi float32) {
 // FillNormal fills t with Gaussian samples N(mean, sigma²).
 func (r *RNG) FillNormal(t *Tensor, mean, sigma float32) {
 	for i := range t.Data {
-		t.Data[i] = mean + sigma*float32(r.NormFloat64())
+		t.Data[i] = mean + float32(sigma*float32(r.NormFloat64()))
 	}
 }
 

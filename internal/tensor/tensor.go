@@ -91,7 +91,7 @@ func (t *Tensor) AXPY(alpha float32, o *Tensor) {
 		panic(fmt.Sprintf("tensor: AXPY shape mismatch %s vs %s", t.ShapeString(), o.ShapeString()))
 	}
 	for i, v := range o.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 }
 
@@ -122,7 +122,7 @@ func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
 func (t *Tensor) L2Norm() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite the attribution goldens in test
 // telemetry pipeline in process: build the per-layer plan (which publishes
 // the achieved/bound gauges), execute it under the tracer, and return the
 // live registry and tracer.
-func autoplanRun(t *testing.T, net model.Network, par int) (*telemetry.Registry, *telemetry.Tracer) {
+func autoplanRun(t testing.TB, net model.Network, par int) (*telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	s := sim.DefaultSystem()
 	s.Parallel = par
@@ -39,7 +39,7 @@ func autoplanRun(t *testing.T, net model.Network, par int) (*telemetry.Registry,
 
 // defaultConfig resolves w_mp++ — the mptsim -config default the CI
 // autoplan job runs under.
-func defaultConfig(t *testing.T) sim.SystemConfig {
+func defaultConfig(t testing.TB) sim.SystemConfig {
 	t.Helper()
 	for _, c := range sim.AllConfigs() {
 		if c.String() == "w_mp++" {

@@ -74,13 +74,31 @@ type Run struct {
 }
 
 // ParseTrace reads Chrome trace_event JSON (the tracer's WriteJSON output)
-// into a Run.
+// into a Run. The input must be exactly one JSON document.
 func ParseTrace(r io.Reader) (*Run, error) {
 	var doc telemetry.Trace
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := decodeOne(r, &doc); err != nil {
 		return nil, fmt.Errorf("traceview: parse trace: %w", err)
 	}
 	return FromTrace(doc), nil
+}
+
+// decodeOne decodes the single JSON document in r into v and rejects
+// anything but whitespace after it: a json.Decoder alone stops at the end
+// of the first value, so a truncated concatenation or trailing garbage
+// would otherwise parse as the first document.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("data after the JSON document at offset %d", dec.InputOffset())
+		}
+		return err
+	}
+	return nil
 }
 
 // FromTrace builds a Run from an in-memory event stream (the tracer's
@@ -165,7 +183,7 @@ func FromTrace(doc telemetry.Trace) *Run {
 // one object of name → number) for joining into reports.
 func LoadMetrics(r io.Reader) (map[string]float64, error) {
 	var m map[string]float64
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	if err := decodeOne(r, &m); err != nil {
 		return nil, fmt.Errorf("traceview: parse metrics: %w", err)
 	}
 	return m, nil

@@ -181,7 +181,7 @@ func DirectFprop1D(p Params1D, x, w *tensor.Tensor) *tensor.Tensor {
 					for k := 0; k < p.K; k++ {
 						pos := o + k - p.Pad
 						if pos >= 0 && pos < p.L {
-							acc += x.At(b, i, 0, pos) * w.At(j, i, 0, k)
+							acc += float32(x.At(b, i, 0, pos) * w.At(j, i, 0, k))
 						}
 					}
 					y.Add(b, j, 0, o, acc)

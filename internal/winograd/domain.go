@@ -136,7 +136,7 @@ func (tl *Tiling) InverseInputGradInto(dx *tensor.Tensor, d *Domain, sc *Scratch
 // batches, so they fan out over the scratch slots: each (image, channel,
 // tile) writes a distinct (row, c) slot of every element matrix, and the
 // parallel result is bit-identical to the sequential loop.
-func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *Sched, side, pad int, sc *Scratch) {
+func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *tensor.LaneSched, side, pad int, sc *Scratch) {
 	if sc.Workers() == 1 {
 		for b := 0; b < src.N; b++ {
 			tl.liftImage(d, src, s, side, pad, sc.slot(0), b)
@@ -148,7 +148,7 @@ func (tl *Tiling) lift(d *Domain, src *tensor.Tensor, s *Sched, side, pad int, s
 	})
 }
 
-func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *Sched, side, pad int, sl *scratchSlot, b int) {
+func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *tensor.LaneSched, side, pad int, sl *scratchSlot, b int) {
 	t, m := tl.Tr.T, tl.Tr.M
 	a := &sl.arena
 	a.Reset()
@@ -176,7 +176,7 @@ func (tl *Tiling) liftImage(d *Domain, src *tensor.Tensor, s *Sched, side, pad i
 // tiles are visited in the same row-major order whatever the worker
 // count, so the accumulation order per dst slot — and with it the
 // floating-point result — is identical to the sequential loop.
-func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *Sched, side, pad int, add bool, sc *Scratch) {
+func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *tensor.LaneSched, side, pad int, add bool, sc *Scratch) {
 	if sc.Workers() == 1 {
 		for b := 0; b < d.B; b++ {
 			tl.lowerImage(dst, d, s, side, pad, add, sc.slot(0), b)
@@ -188,7 +188,7 @@ func (tl *Tiling) lower(dst *tensor.Tensor, d *Domain, s *Sched, side, pad int, 
 	})
 }
 
-func (tl *Tiling) lowerImage(dst *tensor.Tensor, d *Domain, s *Sched, side, pad int, add bool, sl *scratchSlot, b int) {
+func (tl *Tiling) lowerImage(dst *tensor.Tensor, d *Domain, s *tensor.LaneSched, side, pad int, add bool, sl *scratchSlot, b int) {
 	t, m := tl.Tr.T, tl.Tr.M
 	a := &sl.arena
 	a.Reset()
@@ -393,7 +393,7 @@ func (w *Weights) Clone() *Weights {
 func (w *Weights) AXPY(alpha float32, o *Weights) {
 	for e := range w.El {
 		for i := range w.El[e].Data {
-			w.El[e].Data[i] += alpha * o.El[e].Data[i]
+			w.El[e].Data[i] += float32(alpha * o.El[e].Data[i])
 		}
 	}
 }

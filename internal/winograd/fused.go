@@ -9,9 +9,10 @@ import (
 // Fused sandwich transforms. The Cook–Toom matrices B, G, A are sparse with
 // small fixed coefficients (0, ±1, ±½, … — e.g. every F(2,3) entry is one
 // of 0, ±1, ±½), so each transform L·x·R is compiled once, at MakeTransform
-// time, into a sparse per-row/per-column term schedule, and the executor
-// (laneSandwich) accumulates only the nonzero terms — without the dense
-// inner products (or the two temporary matrices) of tensor.Sandwich.
+// time, into sparse row schedules (tensor.LaneSched), and the executor
+// (laneSandwich) runs it as two lane stages that accumulate only the
+// nonzero terms — without the dense inner products (or the two temporary
+// matrices) of tensor.Sandwich.
 //
 // Bit-compatibility with tensor.Sandwich (verified in fused_test.go): the
 // schedule enumerates exactly the nonzero coefficients of L (resp. R) in
@@ -33,49 +34,21 @@ import (
 // fusedMaxT bounds the tile sizes that get compiled schedules.
 const fusedMaxT = 8
 
-// term is one addend of a sparse dot product: coefficient c applied to the
-// operand at index k. Terms are stored in ascending k.
-type term struct {
-	k int32
-	c float32
-}
-
-// Sched is the compiled sparse structure of a transform matrix: rows[i]
-// lists the nonzero (k, c) of row i.
-type Sched struct {
-	rows [][]term
-	cols int
-}
-
-// CompileSched compiles m's nonzero coefficients, row by row in ascending
-// column order, into a term schedule.
-func CompileSched(m *tensor.Mat) *Sched {
-	s := &Sched{rows: make([][]term, m.Rows), cols: m.Cols}
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			if c := m.At(i, k); c != 0 {
-				s.rows[i] = append(s.rows[i], term{k: int32(k), c: c})
-			}
-		}
-	}
-	return s
-}
-
 // fusedOps holds the compiled schedules of the six transform matrices. The
 // stage-2 (right-multiply) schedule of a matrix R is the row schedule of
 // Rᵀ, which is always one of these six.
 type fusedOps struct {
-	g, gt, b, bt, a, at *Sched
+	g, gt, b, bt, a, at *tensor.LaneSched
 }
 
 func compileFused(tr *Transform) *fusedOps {
 	return &fusedOps{
-		g:  CompileSched(tr.G),
-		gt: CompileSched(tr.GT),
-		b:  CompileSched(tr.B),
-		bt: CompileSched(tr.BT),
-		a:  CompileSched(tr.A),
-		at: CompileSched(tr.AT),
+		g:  tensor.CompileLaneSched(tr.G),
+		gt: tensor.CompileLaneSched(tr.GT),
+		b:  tensor.CompileLaneSched(tr.B),
+		bt: tensor.CompileLaneSched(tr.BT),
+		a:  tensor.CompileLaneSched(tr.A),
+		at: tensor.CompileLaneSched(tr.AT),
 	}
 }
 
@@ -90,91 +63,25 @@ func schedules(tr *Transform) *fusedOps {
 
 // Lanes is the tile batch of the lane executors: the Domain and weight
 // transform loops apply each schedule term to up to this many tiles (one
-// per channel) in one pass, and so does the activation predictor.
-const Lanes = 8
+// per channel) in one pass, and so does the activation predictor. It is
+// the width of the tier's assembly stage kernel.
+const Lanes = tensor.Lanes
 
 // laneSandwich computes dst = L·x·R for n independent tiles ("lanes")
 // stored lane-minor: element (i, j) of lane l sits at (i·cols + j)·n + l,
-// so x is ls.cols × rts.cols × n and dst is len(ls.rows) × len(rts.rows)
-// × n. ls is the schedule of L and rts the schedule of Rᵀ; tmp must hold
-// len(ls.rows)·rts.cols·n floats for the stage-1 product L·x.
+// so x is ls.Cols() × rts.Cols() × n and dst is ls.Rows() × rts.Rows() ×
+// n. ls is the schedule of L and rts the schedule of Rᵀ; tmp must hold
+// ls.Rows()·rts.Cols()·n floats for the stage-1 product L·x.
 //
-// Every lane sees exactly the float operations of a one-tile pass, in the
-// same order: each entry of L·x (stage 1) and of (L·x)·R (stage 2) starts
-// at +0 and adds c·v for its schedule terms in ascending k. Lanes never
-// mix, so a lane's result depends neither on n nor on its neighbours, and
-// n = 1 is the per-tile transform.
-func laneSandwich(dst []float32, ls, rts *Sched, x []float32, n int, tmp []float32) {
-	lr, xr, xc, dc := len(ls.rows), ls.cols, rts.cols, len(rts.rows)
-	if len(x) < xr*xc*n || len(dst) < lr*dc*n || len(tmp) < lr*xc*n {
-		panic(fmt.Sprintf("winograd: lane sandwich buffers x %d, dst %d, tmp %d too small for %dx%d · %dx%d · %dx%d, %d lanes",
-			len(x), len(dst), len(tmp), lr, xr, xr, xc, xc, dc, n))
-	}
-	t1 := tmp[: lr*xc*n : lr*xc*n]
-	if n == Lanes {
-		for i, terms := range ls.rows {
-			for j := 0; j < xc; j++ {
-				dotLanes((*[Lanes]float32)(t1[(i*xc+j)*Lanes:]), terms, x[j*Lanes:], xc*Lanes)
-			}
-		}
-		for i := 0; i < lr; i++ {
-			for j, terms := range rts.rows {
-				dotLanes((*[Lanes]float32)(dst[(i*dc+j)*Lanes:]), terms, t1[i*xc*Lanes:], Lanes)
-			}
-		}
-		return
-	}
-	// Any other lane count (the per-tile transforms, channel tails): one
-	// scalar chain per entry and lane.
-	for i, terms := range ls.rows {
-		for j := 0; j < xc*n; j++ {
-			t1[i*xc*n+j] = dot1(terms, x[j:], xc*n)
-		}
-	}
-	for i := 0; i < lr; i++ {
-		for j, terms := range rts.rows {
-			for l := 0; l < n; l++ {
-				dst[(i*dc+j)*n+l] = dot1(terms, t1[i*xc*n+l:], n)
-			}
-		}
-	}
-}
-
-// dot1 returns Σ c·src[k·stride] over terms, starting at +0 and adding in
-// term order.
-func dot1(terms []term, src []float32, stride int) float32 {
-	var acc float32
-	for _, t := range terms {
-		acc += t.c * src[int(t.k)*stride]
-	}
-	return acc
-}
-
-// DotLanes sets d = Σ c·src[k·stride : k·stride+Lanes] over the terms of
-// row i of s: the 8-lane dot of the transform executor, exported for
-// other lane executors over the same schedules.
-func (s *Sched) DotLanes(d *[Lanes]float32, i int, src []float32, stride int) {
-	dotLanes(d, s.rows[i], src, stride)
-}
-
-// dotLanes sets d = Σ c·src[k·stride : k·stride+Lanes] over terms, lane by
-// lane, each lane's sum starting at +0 and adding in term order. The
-// accumulators stay in registers across the terms.
-func dotLanes(d *[Lanes]float32, terms []term, src []float32, stride int) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float32
-	for _, t := range terms {
-		s := (*[Lanes]float32)(src[int(t.k)*stride:])
-		c := t.c
-		a0 += c * s[0]
-		a1 += c * s[1]
-		a2 += c * s[2]
-		a3 += c * s[3]
-		a4 += c * s[4]
-		a5 += c * s[5]
-		a6 += c * s[6]
-		a7 += c * s[7]
-	}
-	*d = [Lanes]float32{a0, a1, a2, a3, a4, a5, a6, a7}
+// It is two lane stages, L·x (MulLanes) and (L·x)·R (MulLanesT), each one
+// kernel call that checks its buffers once. Every lane sees exactly the
+// float operations of a one-tile pass, in the same order: each entry
+// starts at +0 and adds c·v for its schedule terms in ascending k. Lanes
+// never mix, so a lane's result depends neither on n nor on its
+// neighbours, and n = 1 is the per-tile transform.
+func laneSandwich(dst []float32, ls, rts *tensor.LaneSched, x []float32, n int, tmp []float32) {
+	ls.MulLanes(tmp, x, rts.Cols(), n)
+	rts.MulLanesT(dst, tmp, ls.Rows(), n)
 }
 
 // sandwichInto is the generic allocation-free fallback: dst = l·x·r with
@@ -199,7 +106,7 @@ func sandwichInto(dst *tensor.Mat, l, x, r *tensor.Mat, tmp []float32) {
 			}
 			xrow := x.Data[k*xc : k*xc+xc]
 			for j, xv := range xrow {
-				drow[j] += lv * xv
+				drow[j] += float32(lv * xv)
 			}
 		}
 	}
@@ -215,7 +122,7 @@ func sandwichInto(dst *tensor.Mat, l, x, r *tensor.Mat, tmp []float32) {
 			}
 			rrow := r.Data[k*r.Cols : (k+1)*r.Cols]
 			for j, rv := range rrow {
-				drow[j] += tv * rv
+				drow[j] += float32(tv * rv)
 			}
 		}
 	}
@@ -228,14 +135,14 @@ func (tr *Transform) TmpLen() int { return tr.T * tr.T }
 // form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
 // lane executor, run with one lane; l/x/r feed the generic fallback when
 // s is nil.
-func (tr *Transform) sandwich(dst *tensor.Mat, s *Sched, l, x, r *tensor.Mat, tmp []float32) {
+func (tr *Transform) sandwich(dst *tensor.Mat, s *tensor.LaneSched, l, x, r *tensor.Mat, tmp []float32) {
 	if s == nil {
 		sandwichInto(dst, l, x, r, tmp)
 		return
 	}
-	if x.Rows != s.cols || x.Cols != s.cols || dst.Rows != len(s.rows) || dst.Cols != len(s.rows) {
+	if x.Rows != s.Cols() || x.Cols != s.Cols() || dst.Rows != s.Rows() || dst.Cols != s.Rows() {
 		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, S %dx%d, x %dx%d",
-			dst.Rows, dst.Cols, len(s.rows), s.cols, x.Rows, x.Cols))
+			dst.Rows, dst.Cols, s.Rows(), s.Cols(), x.Rows, x.Cols))
 	}
 	laneSandwich(dst.Data, s, s, x.Data, 1, tmp)
 }
@@ -243,7 +150,7 @@ func (tr *Transform) sandwich(dst *tensor.Mat, s *Sched, l, x, r *tensor.Mat, tm
 // FilterToWinogradInto computes dst = G·w·Gᵀ (shape T×T) without
 // allocating; tmp needs TmpLen() floats.
 func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
-	var s *Sched
+	var s *tensor.LaneSched
 	if tr.fused != nil {
 		s = tr.fused.g
 	}
@@ -252,7 +159,7 @@ func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
 
 // InputToWinogradInto computes dst = Bᵀ·x·B (shape T×T) without allocating.
 func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
-	var s *Sched
+	var s *tensor.LaneSched
 	if tr.fused != nil {
 		s = tr.fused.bt
 	}
@@ -262,7 +169,7 @@ func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
 // OutputFromWinogradInto computes dst = Aᵀ·y·A (shape M×M) without
 // allocating.
 func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
-	var s *Sched
+	var s *tensor.LaneSched
 	if tr.fused != nil {
 		s = tr.fused.at
 	}
@@ -272,7 +179,7 @@ func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
 // OutputToWinogradInto computes dst = A·dy·Aᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
-	var s *Sched
+	var s *tensor.LaneSched
 	if tr.fused != nil {
 		s = tr.fused.a
 	}
@@ -282,7 +189,7 @@ func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
 // InputFromWinogradInto computes dst = B·dX·Bᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
-	var s *Sched
+	var s *tensor.LaneSched
 	if tr.fused != nil {
 		s = tr.fused.b
 	}
@@ -292,7 +199,7 @@ func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
 // FilterFromWinogradInto computes dst = Gᵀ·dW·G (shape R×R) without
 // allocating.
 func (tr *Transform) FilterFromWinogradInto(dst, dw *tensor.Mat, tmp []float32) {
-	var s *Sched
+	var s *tensor.LaneSched
 	if tr.fused != nil {
 		s = tr.fused.gt
 	}

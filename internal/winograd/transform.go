@@ -80,7 +80,7 @@ func matVecInto(dst []float32, m *tensor.Mat, v []float32) {
 		var acc float32
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
 		for c, mv := range row {
-			acc += mv * v[c]
+			acc += float32(mv * v[c])
 		}
 		dst[r] = acc
 	}
