@@ -661,21 +661,10 @@ func BenchmarkLayerUpdateGradSteadyTelemetry(b *testing.B) {
 	})
 }
 
-// BenchmarkTransformFused / BenchmarkTransformGeneric compare the compiled
-// sparse-schedule input transform against the generic allocation-free
-// fallback on the same F(4,3) tiles (a literal-constructed Transform has
-// no compiled schedules, so it exercises the fallback path).
+// BenchmarkTransformFused times the per-tile input transform of one
+// F(4×4,3×3) tile on its compiled sparse schedules.
 func BenchmarkTransformFused(b *testing.B) {
-	benchInputTransform(b, winograd.F4x4_3x3)
-}
-
-func BenchmarkTransformGeneric(b *testing.B) {
-	src := winograd.F4x4_3x3
-	benchInputTransform(b, &winograd.Transform{M: src.M, R: src.R, T: src.T,
-		G: src.G, BT: src.BT, AT: src.AT, B: src.B, A: src.A, GT: src.GT})
-}
-
-func benchInputTransform(b *testing.B, tr *winograd.Transform) {
+	tr := winograd.F4x4_3x3
 	rng := tensor.NewRNG(6)
 	x := tensor.NewMat(tr.T, tr.T)
 	for i := range x.Data {

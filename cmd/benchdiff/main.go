@@ -337,10 +337,10 @@ func diff(base, snap *Snapshot, benchRe string, mtol, tol float64, gateTimes, ga
 	}
 	if allocFailures > 0 {
 		// The static half of this gate usually names the offending line:
-		// allocflow walks the cross-package call graph from every *Into /
-		// //mptlint:noalloc root, so it also catches the allocating helper
-		// two hops away that the benchmark only sees as a count
-		// (DESIGN.md §9/§14).
+		// allocflow checks every *Into / //mptlint:noalloc root and walks
+		// the cross-package call graph from it, so it names both the
+		// allocation in the kernel and the allocating helper two hops away
+		// that the benchmark only sees as a count (DESIGN.md §14).
 		fmt.Printf("  hint: run `go run ./cmd/mptlint -run allocflow ./...` to locate the allocation statically\n")
 	}
 	return failures, missing

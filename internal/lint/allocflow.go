@@ -8,31 +8,36 @@ import (
 	"strings"
 )
 
-// AllocFlow is the interprocedural half of the 0 allocs/op contract: for
+// AllocFlow enforces the 0 allocs/op contract at the source level: for
 // every noalloc root (a *Into kernel or a //mptlint:noalloc-annotated
-// function) in a linted package, every call path reachable from it must
-// be allocation-free. The syntactic noalloc analyzer catches allocation
-// constructs written directly in the root; allocflow walks the
-// cross-package call graph (callgraph.go) and reports the transitive
-// ones — the allocating helper two hops away that a per-function AST walk
-// can never see.
+// function) in a linted package, the root itself and every call path
+// reachable from it must be allocation-free. These are the hot paths
+// whose contract benchdiff gates dynamically (`cmd/benchdiff
+// -gate-allocs`, DESIGN.md §8); allocflow catches the allocation when it
+// is written, not when a benchmark happens to execute it. It reports the
+// allocation constructs written in the root (make, new, append, slice and
+// map literals, &T{...}, closures) and, through the cross-package call
+// graph (callgraph.go), the transitive ones: the allocating helper two
+// hops away that a per-function AST walk can never see.
 //
 // Callees whose bodies are outside the program (stdlib, out-of-module)
 // are not assumed clean: they must appear on the sanctioned-callee list
-// below, which replaces the old hand-maintained per-analyzer carve-outs.
-// Dynamic calls (interface methods, function-valued parameters/fields)
-// are likewise not analyzable and are reported, because an unseen callee
-// is exactly how an allocation sneaks onto a steady-state path.
+// below, so fmt.Sprintf or errors.New in a kernel is a finding. Dynamic
+// calls (interface methods, function-valued parameters/fields) are
+// likewise not analyzable and are reported, because an unseen callee is
+// exactly how an allocation sneaks onto a steady-state path.
 //
-// Reports land at the call site inside the root (the actionable frame:
-// either the callee must be fixed, the call hoisted off the steady-state
-// path, or the callee sanctioned with evidence). Cold paths — if-blocks
-// terminating in panic — contribute nothing, same as noalloc.
+// Reports land in the root: at the construct, or at the call site (the
+// actionable frame: either the callee must be fixed, the call hoisted off
+// the steady-state path, or the callee sanctioned with evidence). Cold
+// paths — if-blocks terminating in panic — contribute nothing, and a func
+// literal passed directly to an internal/parallel primitive is not a
+// closure allocation (callgraph.go).
 var AllocFlow = &Analyzer{
 	Name: "allocflow",
-	Doc: "interprocedural noalloc: every call path from a *Into or " +
-		"//mptlint:noalloc root must be allocation-free (sanctioned-callee list " +
-		"for unanalyzable bodies)",
+	Doc: "every *Into or //mptlint:noalloc root, and every call path from " +
+		"it, must be allocation-free (sanctioned-callee list for unanalyzable " +
+		"bodies)",
 	RunProgram: runAllocFlow,
 }
 
@@ -56,8 +61,6 @@ var sanctionedCallees = map[string]string{
 	// 0 allocs/op benchmarks (BenchmarkFpropInto etc., gated by benchdiff
 	// -gate-allocs) pin that the steady state really is clean.
 	"(*mptwino/internal/tensor.GemmScratch).panels": "grow-only packing buffers; steady-state calls reuse them",
-	"(*mptwino/internal/tensor.Arena).Mat":          "replay arena, grow-only slots; steady state replays storage",
-	"(*mptwino/internal/tensor.Arena).MatZ":         "replay arena, grow-only slots; steady state replays storage",
 	"(*mptwino/internal/tensor.Arena).Floats":       "replay arena, grow-only slots; steady state replays storage",
 
 	// Lazy grow-only staging of the training-loop Domains: their shapes
@@ -83,6 +86,16 @@ var sanctionedCallees = map[string]string{
 	// the activation predictor): SSE2 or AVX2 assembly loops that only
 	// load and store; TestLaneStageAllocFree pins each tier at 0 allocs.
 	"(*mptwino/internal/tensor.gemmKernel).lanes": "runtime-dispatched lane-stage kernel tier; all candidates are allocation-free store loops",
+
+	// The telemetry handles' updates are how a kernel counts its work:
+	// handles are resolved at attach time and bumped in the loop. Every
+	// other telemetry call (registry lookups, tracer emission) locks or
+	// allocates and stays a finding.
+	"(*mptwino/internal/telemetry.Counter).Add":       "nil-safe atomic add",
+	"(*mptwino/internal/telemetry.Counter).Inc":       "nil-safe atomic add",
+	"(*mptwino/internal/telemetry.Gauge).Set":         "nil-safe atomic store",
+	"(*mptwino/internal/telemetry.Gauge).Max":         "nil-safe atomic compare-and-swap loop",
+	"(*mptwino/internal/telemetry.Histogram).Observe": "nil-safe atomic bucket add",
 }
 
 // sanctionedCalleePrefixes sanctions whole packages by key prefix: pure
@@ -180,6 +193,9 @@ func runAllocFlow(pass *ProgramPass) {
 		s := sums[k]
 		if !s.root || !s.pkg.Target {
 			continue
+		}
+		for _, a := range s.allocs {
+			pass.Reportf(a.pos, "%s: %s allocates on a noalloc path; hoist it or reuse a caller-owned or scratch buffer", s.name, a.what)
 		}
 		reported := map[string]bool{} // one report per callee per root
 		for _, c := range s.calls {

@@ -14,7 +14,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter,
 		NoGoroutine,
-		NoAlloc,
 		NoTime,
 		SharedWrite,
 		DetSelect,

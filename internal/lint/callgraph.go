@@ -228,3 +228,21 @@ func summarizeCall(info *types.Info, call *ast.CallExpr, s *funcSummary, sanctio
 		// the literal itself was recorded (or sanctioned) at its site.
 	}
 }
+
+// terminatesInPanic reports whether block's last statement is a panic call
+// — the shape of a cold shape-check guard.
+func terminatesInPanic(block *ast.BlockStmt) bool {
+	if len(block.List) == 0 {
+		return false
+	}
+	es, ok := block.List[len(block.List)-1].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && id.Name == "panic"
+}

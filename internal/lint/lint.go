@@ -254,7 +254,7 @@ func ApplyNolint(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran
 	}
 
 	// Stale detection: only names whose analyzer actually ran are
-	// checkable (a -run=noalloc invocation says nothing about a
+	// checkable (a -run=allocflow invocation says nothing about a
 	// //nolint:mapiter directive). The wildcard forms are checkable only
 	// when the full suite ran (ran == nil).
 	checkable := func(name string) bool {

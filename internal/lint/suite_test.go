@@ -21,10 +21,6 @@ func TestNoGoroutine(t *testing.T) {
 	linttest.Run(t, "testdata/src/nogoroutine", lint.NoGoroutine)
 }
 
-func TestNoAlloc(t *testing.T) {
-	linttest.Run(t, "testdata/src/noalloc", lint.NoAlloc)
-}
-
 func TestNoTime(t *testing.T) {
 	linttest.Run(t, "testdata/src/notime", lint.NoTime)
 }

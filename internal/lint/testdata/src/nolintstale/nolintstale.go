@@ -23,11 +23,11 @@ func staleSuppression(xs []int) int {
 }
 
 // A directive naming an analyzer that did NOT run is not checkable; the
-// suite does not run noalloc, so this directive is left alone.
+// suite does not run allocflow, so this directive is left alone.
 func uncheckableSuppression(xs []int) int {
 	s := 0
 	for _, v := range xs {
-		s += v //nolint:noalloc -- testdata: not checkable in a run without noalloc
+		s += v //nolint:allocflow -- testdata: not checkable in a run without allocflow
 	}
 	return s
 }

@@ -20,9 +20,10 @@
 //     package here.
 //
 // Allocation discipline: counter/gauge/histogram updates are allocation
-// free and sanctioned inside the *Into kernels (mptlint's noalloc analyzer
-// carves them out); resolving handles from a Registry or emitting trace
-// events allocates and must stay outside the hot loops (noalloc flags it).
+// free and sanctioned inside the *Into kernels (they are on mptlint
+// allocflow's sanctioned-callee list); resolving handles from a Registry
+// or emitting trace events allocates and must stay outside the hot loops
+// (allocflow flags it).
 package telemetry
 
 import (
@@ -214,7 +215,7 @@ func NewRegistry() *Registry {
 // Counter returns the named counter, registering it on first use. A nil
 // registry returns a nil (no-op) counter. Resolve handles once at
 // attach/setup time — this lookup locks and may allocate, so it must stay
-// out of the steady-state kernels (noalloc enforces this).
+// out of the steady-state kernels (allocflow enforces this).
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil

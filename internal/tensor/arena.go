@@ -1,58 +1,25 @@
 package tensor
 
-import "fmt"
-
 // Arena is a replay-style scratch allocator for the per-step temporaries of
-// the training hot paths. A step acquires matrices in a fixed order with
-// Mat/Floats, and Reset rewinds the arena so the next step reuses the same
+// the training hot paths. A step acquires buffers in a fixed order with
+// Floats, and Reset rewinds the arena so the next step reuses the same
 // storage: after the first step the sequence repeats and the arena performs
-// zero allocations. Shapes are matched per slot — if a request's shape
-// differs from the slot's previous occupant, the slot's backing storage is
-// reused when it is large enough and reallocated (grow-only) otherwise, so
-// an arena also converges quickly when layers of different sizes share it.
+// zero allocations. A slot's backing storage is reused when it is large
+// enough for the request and reallocated (grow-only) otherwise, so an arena
+// also converges quickly when layers of different sizes share it.
 //
-// Returned matrices have unspecified contents (call Zero if the consumer
-// accumulates); they remain valid until the Reset after next. An Arena is
-// not safe for concurrent use — parallel code keeps one per worker.
+// Returned buffers have unspecified contents; they remain valid until the
+// Reset after next. An Arena is not safe for concurrent use — parallel code
+// keeps one per worker.
 type Arena struct {
-	mats  []*Mat
 	bufs  [][]float32
-	nextM int
 	nextB int
 }
 
 // Reset rewinds the arena; storage handed out before the call will be
 // recycled by subsequent requests.
 func (a *Arena) Reset() {
-	a.nextM = 0
 	a.nextB = 0
-}
-
-// Mat returns a rows×cols scratch matrix with unspecified contents.
-func (a *Arena) Mat(rows, cols int) *Mat {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("tensor: invalid arena matrix shape %dx%d", rows, cols))
-	}
-	n := rows * cols
-	if a.nextM == len(a.mats) {
-		a.mats = append(a.mats, NewMat(rows, cols))
-	}
-	m := a.mats[a.nextM]
-	a.nextM++
-	if cap(m.Data) < n {
-		m.Data = make([]float32, n)
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-	return m
-}
-
-// MatZ returns a zeroed rows×cols scratch matrix.
-func (a *Arena) MatZ(rows, cols int) *Mat {
-	m := a.Mat(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	return m
 }
 
 // Floats returns a length-n scratch slice with unspecified contents.

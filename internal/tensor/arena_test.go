@@ -4,37 +4,28 @@ import "testing"
 
 func TestArenaReplayReusesStorage(t *testing.T) {
 	var a Arena
-	m1 := a.Mat(4, 8)
-	f1 := a.Floats(100)
-	m2 := a.MatZ(3, 3)
-	for i := range m2.Data {
-		if m2.Data[i] != 0 {
-			t.Fatal("MatZ not zeroed")
-		}
-	}
-	m1.Data[0] = 7
+	f1 := a.Floats(32)
+	f2 := a.Floats(100)
+	f1[0] = 7
 	a.Reset()
-	if got := a.Mat(4, 8); &got.Data[0] != &m1.Data[0] {
-		t.Fatal("replayed Mat did not reuse storage")
+	if got := a.Floats(32); &got[0] != &f1[0] {
+		t.Fatal("replayed first slot did not reuse storage")
 	}
-	if got := a.Floats(50); &got[0] != &f1[0] {
-		t.Fatal("replayed Floats did not reuse storage")
+	if got := a.Floats(50); &got[0] != &f2[0] {
+		t.Fatal("replayed second slot did not reuse storage")
 	}
 }
 
 func TestArenaReshapesSlots(t *testing.T) {
 	var a Arena
-	m := a.Mat(10, 10)
-	base := &m.Data[0]
+	base := &a.Floats(100)[0]
 	a.Reset()
-	small := a.Mat(5, 5) // smaller: reuse backing array
-	if &small.Data[0] != base {
+	if small := a.Floats(25); &small[0] != base || len(small) != 25 {
 		t.Fatal("smaller request should reuse slot storage")
 	}
 	a.Reset()
-	big := a.Mat(20, 20) // larger: grow
-	if big.Rows != 20 || big.Cols != 20 || len(big.Data) != 400 {
-		t.Fatalf("grow failed: %dx%d len %d", big.Rows, big.Cols, len(big.Data))
+	if big := a.Floats(400); len(big) != 400 { // larger: grow
+		t.Fatalf("grow failed: len %d", len(big))
 	}
 }
 
@@ -42,9 +33,9 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	var a Arena
 	step := func() {
 		a.Reset()
-		m := a.Mat(16, 16)
+		m := a.Floats(256)
 		v := a.Floats(64)
-		m.Data[0] = v[0]
+		m[0] = v[0]
 	}
 	step() // warm-up sizes the arena
 	if n := testing.AllocsPerRun(100, step); n != 0 {

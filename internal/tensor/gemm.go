@@ -29,7 +29,9 @@ import (
 // caller that shards whole GEMMs, and they are bit-identical to
 // MatMulNaiveInto for all finite inputs (the reference's zero-operand skip
 // only elides +0/-0 addends, which cannot change an accumulator that starts
-// at +0).
+// at +0). NaN payloads match too: the kernels add accumulator first and
+// the naive loops accumulate through addKeepNaN, so a NaN accumulator
+// keeps its payload.
 //
 // The micro-kernel and its blocking parameters are not fixed: the driver is
 // parameterized by the runtime-dispatched tier (gemm_kernel.go), each tier
@@ -110,7 +112,7 @@ func MatMulNaiveInto(dst, a, b *Mat) {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				drow[j] += float32(av * bv)
+				drow[j] = addKeepNaN(drow[j], float32(av*bv))
 			}
 		}
 	}
@@ -128,7 +130,7 @@ func MatMulNTNaiveInto(dst, a, b *Mat) {
 			brow := b.Data[j*k : (j+1)*k]
 			var acc float32
 			for p, av := range arow {
-				acc += float32(av * brow[p])
+				acc = addKeepNaN(acc, float32(av*brow[p]))
 			}
 			drow[j] = acc
 		}
@@ -153,7 +155,7 @@ func MatMulTNNaiveInto(dst, a, b *Mat) {
 			}
 			drow := dst.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				drow[j] += float32(av * bv)
+				drow[j] = addKeepNaN(drow[j], float32(av*bv))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -176,23 +177,52 @@ func TestGemmTierTilesFitEdgeTemporary(t *testing.T) {
 }
 
 // TestGemmTiersBitIdentical locks the headline dispatch guarantee: every
-// listed tier produces the naive reference's bits for the same inputs, so
-// the auto choice (which varies by CPU) never changes results.
+// listed tier produces the naive reference's bits for the same inputs, in
+// every operand layout, so the auto choice (which varies by CPU) never
+// changes results. The second case puts two NaN addends in one dot
+// (payload 0x111 at k = 5, then 0x222 at k = 40): every path must keep the
+// first, which is what the assembly kernels' accumulator-first add
+// computes. Its a has no zeros, so the naive zero-skip drops no product.
 func TestGemmTiersBitIdentical(t *testing.T) {
 	defer restoreGemmKernel(t)
 	rng := rand.New(rand.NewSource(1234))
 	m, n, k := 129, 130, 2*gemmKC+17
-	a := randMat(rng, m, k, 0.1)
-	b := randMat(rng, k, n, 0.1)
-	want := NewMat(m, n)
-	MatMulNaiveInto(want, a, b)
-	for _, name := range GemmKernels() {
-		if err := SelectGemmKernel(name); err != nil {
-			t.Fatal(err)
+	nanA, nanB := randMat(rng, 64, 64, 0), randMat(rng, 64, 64, 0)
+	nanB.Set(5, 7, math.Float32frombits(0x7fc00111))
+	nanB.Set(40, 7, math.Float32frombits(0x7fc00222))
+	for _, c := range []struct {
+		name string
+		a, b *Mat
+	}{
+		{"finite", randMat(rng, m, k, 0.1), randMat(rng, k, n, 0.1)},
+		{"nan", nanA, nanB},
+	} {
+		want := NewMat(c.a.Rows, c.b.Cols)
+		MatMulNaiveInto(want, c.a, c.b)
+		if bits := math.Float32bits(want.At(0, 7)); c.name == "nan" && bits != 0x7fc00111 {
+			t.Fatalf("naive: NaN payload %08x, want the first addend's 7fc00111", bits)
 		}
-		got := NewMat(m, n)
-		MatMulInto(got, a, b)
-		requireBitIdentical(t, "naive vs "+name, want, got)
+		at, bt := c.a.T(), c.b.T()
+		for _, name := range GemmKernels() {
+			if err := SelectGemmKernel(name); err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range []struct {
+				op   string
+				mul  func(dst, a, b *Mat)
+				x, y *Mat
+			}{
+				{"NN", MatMulInto, c.a, c.b},
+				{"NT", MatMulNTInto, c.a, bt},
+				{"TN", MatMulTNInto, at, c.b},
+				{"naive NT", MatMulNTNaiveInto, c.a, bt},
+				{"naive TN", MatMulTNNaiveInto, at, c.b},
+			} {
+				got := NewMat(want.Rows, want.Cols)
+				l.mul(got, l.x, l.y)
+				requireBitIdentical(t, c.name+": naive vs "+name+" "+l.op, want, got)
+			}
+		}
 	}
 }
 

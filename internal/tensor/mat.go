@@ -127,7 +127,7 @@ func MatMulAccInto(dst, a, b *Mat) {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				drow[j] += float32(av * bv)
+				drow[j] = addKeepNaN(drow[j], float32(av*bv))
 			}
 		}
 	}

@@ -38,9 +38,8 @@ type Transform struct {
 	GT *tensor.Mat // R×T, transpose of G (cached)
 
 	// fused holds the compiled sparse add/sub schedules of the transform
-	// matrices (nil for tile sizes past fusedMaxT, or for Transforms built
-	// outside MakeTransform; the Into methods then use the generic
-	// allocation-free fallback — see fused.go).
+	// matrices (nil for Transforms built outside MakeTransform — see
+	// fused.go).
 	fused *fusedOps
 }
 
@@ -167,9 +166,7 @@ func MakeTransform(m, r int) (*Transform, error) {
 	tr.B = tr.BT.T()
 	tr.A = tr.AT.T()
 	tr.GT = tr.G.T()
-	if t <= fusedMaxT {
-		tr.fused = compileFused(tr)
-	}
+	tr.fused = compileFused(tr)
 	return tr, nil
 }
 

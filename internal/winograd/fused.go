@@ -24,15 +24,9 @@ import (
 // under round-to-nearest). Every addend is the product c·v, rounded as in
 // the reference.
 //
-// Transforms with T beyond fusedMaxT (far past every size the paper uses)
-// skip compilation at MakeTransform, so their per-tile Into methods take
-// the allocation-free generic sandwichInto path, which replicates the
-// reference loops directly. The Domain and weight loops always run the
-// lane executor: NewTiling and NewWeights compile the schedules themselves
-// when the transform has none.
-
-// fusedMaxT bounds the tile sizes that get compiled schedules.
-const fusedMaxT = 8
+// MakeTransform compiles the schedules of every transform it builds. A
+// Transform assembled by hand has none: its per-tile Into methods panic,
+// while NewTiling and NewWeights compile the schedules themselves.
 
 // fusedOps holds the compiled schedules of the six transform matrices. The
 // stage-2 (right-multiply) schedule of a matrix R is the row schedule of
@@ -52,8 +46,8 @@ func compileFused(tr *Transform) *fusedOps {
 	}
 }
 
-// schedules returns tr's compiled schedules, compiling them when
-// MakeTransform did not (T > fusedMaxT, or a Transform assembled by hand).
+// schedules returns tr's compiled schedules, compiling them for a
+// Transform assembled by hand.
 func schedules(tr *Transform) *fusedOps {
 	if tr.fused != nil {
 		return tr.fused
@@ -84,62 +78,22 @@ func laneSandwich(dst []float32, ls, rts *tensor.LaneSched, x []float32, n int, 
 	rts.MulLanesT(dst, tmp, ls.Rows(), n)
 }
 
-// sandwichInto is the generic allocation-free fallback: dst = l·x·r with
-// the exact reference semantics of tensor.Sandwich (two naive multiplies,
-// zero-skip on the left operand), staging l·x in tmp.
-func sandwichInto(dst *tensor.Mat, l, x, r *tensor.Mat, tmp []float32) {
-	if l.Cols != x.Rows || x.Cols != r.Rows || dst.Rows != l.Rows || dst.Cols != r.Cols {
-		panic(fmt.Sprintf("winograd: sandwich shape error dst %dx%d = %dx%d · %dx%d · %dx%d",
-			dst.Rows, dst.Cols, l.Rows, l.Cols, x.Rows, x.Cols, r.Rows, r.Cols))
-	}
-	lr, xc := l.Rows, x.Cols
-	t1 := tmp[: lr*xc : lr*xc]
-	for i := range t1 {
-		t1[i] = 0
-	}
-	for i := 0; i < lr; i++ {
-		lrow := l.Data[i*l.Cols : (i+1)*l.Cols]
-		drow := t1[i*xc : i*xc+xc]
-		for k, lv := range lrow {
-			if lv == 0 {
-				continue
-			}
-			xrow := x.Data[k*xc : k*xc+xc]
-			for j, xv := range xrow {
-				drow[j] += float32(lv * xv)
-			}
-		}
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < lr; i++ {
-		trow := t1[i*xc : i*xc+xc]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, tv := range trow {
-			if tv == 0 {
-				continue
-			}
-			rrow := r.Data[k*r.Cols : (k+1)*r.Cols]
-			for j, rv := range rrow {
-				drow[j] += float32(tv * rv)
-			}
-		}
-	}
-}
-
 // TmpLen returns the scratch length the Into transform methods need.
 func (tr *Transform) TmpLen() int { return tr.T * tr.T }
 
-// sandwich dispatches one transform step. Every transform here has the
-// form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
-// lane executor, run with one lane; l/x/r feed the generic fallback when
-// s is nil.
-func (tr *Transform) sandwich(dst *tensor.Mat, s *tensor.LaneSched, l, x, r *tensor.Mat, tmp []float32) {
-	if s == nil {
-		sandwichInto(dst, l, x, r, tmp)
-		return
+// ops returns the schedules MakeTransform compiled; the per-tile Into
+// methods do not compile on the fly, so a hand-assembled Transform panics.
+func (tr *Transform) ops() *fusedOps {
+	if tr.fused == nil {
+		panic("winograd: per-tile transform on a Transform not built by MakeTransform")
 	}
+	return tr.fused
+}
+
+// sandwich runs one per-tile transform step. Every transform here has the
+// form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
+// lane executor, run with one lane.
+func sandwich(dst *tensor.Mat, s *tensor.LaneSched, x *tensor.Mat, tmp []float32) {
 	if x.Rows != s.Cols() || x.Cols != s.Cols() || dst.Rows != s.Rows() || dst.Cols != s.Rows() {
 		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, S %dx%d, x %dx%d",
 			dst.Rows, dst.Cols, s.Rows(), s.Cols(), x.Rows, x.Cols))
@@ -150,58 +104,34 @@ func (tr *Transform) sandwich(dst *tensor.Mat, s *tensor.LaneSched, l, x, r *ten
 // FilterToWinogradInto computes dst = G·w·Gᵀ (shape T×T) without
 // allocating; tmp needs TmpLen() floats.
 func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
-	var s *tensor.LaneSched
-	if tr.fused != nil {
-		s = tr.fused.g
-	}
-	tr.sandwich(dst, s, tr.G, w, tr.GT, tmp)
+	sandwich(dst, tr.ops().g, w, tmp)
 }
 
 // InputToWinogradInto computes dst = Bᵀ·x·B (shape T×T) without allocating.
 func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
-	var s *tensor.LaneSched
-	if tr.fused != nil {
-		s = tr.fused.bt
-	}
-	tr.sandwich(dst, s, tr.BT, x, tr.B, tmp)
+	sandwich(dst, tr.ops().bt, x, tmp)
 }
 
 // OutputFromWinogradInto computes dst = Aᵀ·y·A (shape M×M) without
 // allocating.
 func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
-	var s *tensor.LaneSched
-	if tr.fused != nil {
-		s = tr.fused.at
-	}
-	tr.sandwich(dst, s, tr.AT, y, tr.A, tmp)
+	sandwich(dst, tr.ops().at, y, tmp)
 }
 
 // OutputToWinogradInto computes dst = A·dy·Aᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
-	var s *tensor.LaneSched
-	if tr.fused != nil {
-		s = tr.fused.a
-	}
-	tr.sandwich(dst, s, tr.A, dy, tr.AT, tmp)
+	sandwich(dst, tr.ops().a, dy, tmp)
 }
 
 // InputFromWinogradInto computes dst = B·dX·Bᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
-	var s *tensor.LaneSched
-	if tr.fused != nil {
-		s = tr.fused.b
-	}
-	tr.sandwich(dst, s, tr.B, dx, tr.BT, tmp)
+	sandwich(dst, tr.ops().b, dx, tmp)
 }
 
 // FilterFromWinogradInto computes dst = Gᵀ·dW·G (shape R×R) without
 // allocating.
 func (tr *Transform) FilterFromWinogradInto(dst, dw *tensor.Mat, tmp []float32) {
-	var s *tensor.LaneSched
-	if tr.fused != nil {
-		s = tr.fused.gt
-	}
-	tr.sandwich(dst, s, tr.GT, dw, tr.G, tmp)
+	sandwich(dst, tr.ops().gt, dw, tmp)
 }

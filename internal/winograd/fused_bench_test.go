@@ -8,7 +8,7 @@ import (
 	"mptwino/internal/tensor"
 )
 
-func benchSandwich(b *testing.B, fused bool) {
+func BenchmarkSandwichFused(b *testing.B) {
 	tr := F4x4_3x3
 	rng := tensor.NewRNG(6)
 	x := tensor.NewMat(tr.T, tr.T)
@@ -18,19 +18,10 @@ func benchSandwich(b *testing.B, fused bool) {
 	dst := tensor.NewMat(tr.T, tr.T)
 	tmp := make([]float32, tr.TmpLen())
 	b.ResetTimer()
-	if fused {
-		for i := 0; i < b.N; i++ {
-			laneSandwich(dst.Data, tr.fused.bt, tr.fused.bt, x.Data, 1, tmp)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			sandwichInto(dst, tr.BT, x, tr.B, tmp)
-		}
+	for i := 0; i < b.N; i++ {
+		laneSandwich(dst.Data, tr.fused.bt, tr.fused.bt, x.Data, 1, tmp)
 	}
 }
-
-func BenchmarkSandwichFused(b *testing.B)   { benchSandwich(b, true) }
-func BenchmarkSandwichGeneric(b *testing.B) { benchSandwich(b, false) }
 
 // BenchmarkDomainTransforms runs the four lane-batched Domain transforms
 // of one F(4×4,3×3) layer (32 channels, 28×28, batch 2) on one worker.

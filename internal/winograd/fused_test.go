@@ -80,8 +80,8 @@ func checkTransformOps(t *testing.T, tr *Transform, zeroFrac float64) {
 
 // The compiled fused schedules must be bit-identical to the generic
 // Cook–Toom sandwich for every transform the paper uses, plus the wide
-// F(6×6,3×3) (T=8, at the fusedMaxT boundary) the planner's tile axis can
-// select behind AllowWideTiles.
+// F(6×6,3×3) (T=8) the planner's tile axis can select behind
+// AllowWideTiles.
 func TestFusedTransformsBitIdentical(t *testing.T) {
 	for _, tr := range []*Transform{F2x2_3x3, F4x4_3x3, F2x2_5x5, F6x6_3x3} {
 		if tr.fused == nil {
@@ -115,26 +115,43 @@ func TestWideTileTransformsZeroAlloc(t *testing.T) {
 	}
 }
 
-// Transforms past the fusion size gate fall back to the generic
-// allocation-free path, which must also match the reference bit-exactly.
-func TestGenericFallbackBitIdentical(t *testing.T) {
-	tr, err := MakeTransform(6, 5) // T = 10 > fusedMaxT
+// MakeTransform compiles schedules at every tile size, far past the ones
+// the paper uses: F(6,5) (T = 10) runs them bit-identically too.
+func TestF6x5TransformBitIdentical(t *testing.T) {
+	tr, err := MakeTransform(6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.fused != nil {
-		t.Fatalf("F(6,5) with T=%d should not compile fused schedules", tr.T)
+	if tr.fused == nil {
+		t.Fatalf("F(6,5) with T=%d: expected compiled fused schedules", tr.T)
 	}
 	checkTransformOps(t, tr, 0.2)
 }
 
-// A Transform assembled outside MakeTransform has no schedules; the Into
-// methods must still work via the fallback.
-func TestHandAssembledTransformUsesFallback(t *testing.T) {
-	src := F2x2_3x3
-	tr := &Transform{M: src.M, R: src.R, T: src.T,
-		G: src.G, BT: src.BT, AT: src.AT, B: src.B, A: src.A, GT: src.GT}
-	checkTransformOps(t, tr, 0.1)
+// A Transform assembled outside MakeTransform has no schedules, and the
+// per-tile Into methods do not compile them on the fly: each one panics.
+func TestHandAssembledTransformPanics(t *testing.T) {
+	tr := handAssembled()
+	tmp := make([]float32, tr.TmpLen())
+	x := tensor.NewMat(tr.T, tr.T)
+	dst := tensor.NewMat(tr.T, tr.T)
+	for name, f := range map[string]func(){
+		"FilterToWinogradInto":   func() { tr.FilterToWinogradInto(dst, tensor.NewMat(tr.R, tr.R), tmp) },
+		"InputToWinogradInto":    func() { tr.InputToWinogradInto(dst, x, tmp) },
+		"OutputFromWinogradInto": func() { tr.OutputFromWinogradInto(tensor.NewMat(tr.M, tr.M), x, tmp) },
+		"OutputToWinogradInto":   func() { tr.OutputToWinogradInto(dst, tensor.NewMat(tr.M, tr.M), tmp) },
+		"InputFromWinogradInto":  func() { tr.InputFromWinogradInto(dst, x, tmp) },
+		"FilterFromWinogradInto": func() { tr.FilterFromWinogradInto(tensor.NewMat(tr.R, tr.R), x, tmp) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a hand-assembled Transform did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestMatVecInto(t *testing.T) {

@@ -298,8 +298,8 @@ func handAssembled() *Transform {
 }
 
 // laneTransforms are the transforms the lane oracle covers: the paper's,
-// the wide F(6×6,3×3) at the fusedMaxT boundary, F(6,5) past it, and a
-// hand-assembled one (the last two compile their schedules in NewTiling).
+// the wide F(6×6,3×3), F(6,5) at T = 10, and a hand-assembled one (which
+// compiles its schedules in NewTiling).
 func laneTransforms(t testing.TB) []*Transform {
 	wide, err := MakeTransform(6, 5)
 	if err != nil {
